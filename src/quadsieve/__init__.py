@@ -42,6 +42,7 @@ from .sieve import (
     SieveOutput,
     SieveState,
     atkin_primes,
+    factorizations,
     run_sieve,
 )
 from .uz import (
@@ -86,6 +87,7 @@ __all__ = [
     "SieveOutput",
     "SieveState",
     "atkin_primes",
+    "factorizations",
     "run_sieve",
     "UZPair",
     "appendix_pair",

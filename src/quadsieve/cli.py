@@ -2,9 +2,10 @@
 
 Three subcommands: "run" sieves a family up to an index bound and
 emits checkpoint counts (plus optional per-element factorizations),
-"verify" replays a run against the trial-division oracle, and
-"uz-demo" prints terms of the factorization-generating sequence pairs
-together with the product identity check.
+"verify" checks each record of one pass against the trial-division
+oracle as it is produced, and "uz-demo" prints terms of the
+factorization-generating sequence pairs together with the product
+identity check.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or range error.
 """
@@ -15,12 +16,13 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .core import make_params
 from .oracle import compare
 from .progressions import first_occurrence
-from .sieve import SieveError, run_sieve
+from .sieve import SieveError, run_sieve, validate_run
 from .uz import (
     appendix_pair,
     family_coeffs,
@@ -44,22 +46,19 @@ class RunConfig:
     verify: bool = False
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"c must be >= 1, got {self.c}")
-        if self.j_max < 0:
-            raise ValueError(f"J must be >= 0, got {self.j_max}")
         if list(self.checkpoints) != sorted(set(self.checkpoints)):
             raise ValueError("checkpoints must be strictly ascending")
-        if self.checkpoints and not (
-            0 <= self.checkpoints[0] and self.checkpoints[-1] <= self.j_max
-        ):
-            raise ValueError(f"checkpoints must lie in [0, {self.j_max}]")
+        validate_run(make_params(self.c), self.j_max, self.checkpoints)
 
 
 def render_factors(factors) -> str:
     """Render ((p1, a1), (p2, a2), ...) as p1^a1*p2^a2, with bare p
     for exponent 1 and the empty string for no factors."""
     return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors)
+
+
+def _render_record(rec) -> str:
+    return f"{rec.j},{rec.x},{rec.n},{render_factors(rec.factors)}"
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -168,13 +167,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _execute_run(config: RunConfig) -> int:
     params = make_params(config.c)
-    out = run_sieve(
-        params,
-        config.j_max,
-        list(config.checkpoints),
-        collect_records=config.factorization_path is not None,
-        verify=config.verify,
-    )
+    path = config.factorization_path
+    with open(path, "w") if path else nullcontext() as fh:
+        if fh:
+            fh.write("j,X,N,factorization\n")
+        row = lambda rec: fh.write(f"{_render_record(rec)}\n")
+        out = run_sieve(
+            params,
+            config.j_max,
+            config.checkpoints,
+            on_record=row if fh else None,
+            verify=config.verify,
+        )
     rows = [
         (cp.j, cp.p_count, cp.d_count, f"{cp.elapsed_seconds:.3f}")
         for cp in out.checkpoints
@@ -183,28 +187,16 @@ def _execute_run(config: RunConfig) -> int:
         text = "J,P_count,D_count,elapsed_seconds\n"
         text += "".join(f"{j},{p},{d},{t}\n" for j, p, d, t in rows)
     else:
-        text = (
-            json.dumps(
-                [
-                    {"J": j, "p_count": p, "d_count": d, "elapsed_seconds": float(t)}
-                    for j, p, d, t in rows
-                ],
-                indent=2,
-            )
-            + "\n"
-        )
+        keys = ("J", "p_count", "d_count", "elapsed_seconds")
+        dicts = [dict(zip(keys, (j, p, d, float(t)))) for j, p, d, t in rows]
+        text = json.dumps(dicts, indent=2) + "\n"
     if config.stats_path:
         with open(config.stats_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if config.factorization_path:
-        with open(config.factorization_path, "w") as fh:
-            fh.write("j,X,N,factorization\n")
-            for rec in out.records:
-                fh.write(f"{rec.j},{rec.x},{rec.n},{render_factors(rec.factors)}\n")
-        if config.verify:
-            _audit_factorization_file(config.factorization_path)
+    if path and config.verify:
+        _audit_factorization_file(path)
     return 0
 
 
@@ -245,22 +237,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.c < 1:
-        raise ValueError(f"c must be >= 1, got {args.c}")
-    if args.j_max < 0:
-        raise ValueError(f"J must be >= 0, got {args.j_max}")
     params = make_params(args.c)
-    report = compare(params, args.j_max)
+    show = lambda rec: print(f"{_render_record(rec)},ok")
+    report = compare(params, args.j_max, show if args.verbose else None)
     if not report.matched:
         j, sieve_rec, oracle_factors = report.first_divergence
         print(f"divergence at index {j}", file=sys.stderr)
         print(f"  sieve:  {sieve_rec}", file=sys.stderr)
         print(f"  oracle: {oracle_factors}", file=sys.stderr)
         return 1
-    if args.verbose:
-        out = run_sieve(params, args.j_max, collect_records=True)
-        for rec in out.records:
-            print(f"{rec.j},{rec.x},{rec.n},{render_factors(rec.factors)},ok")
     print(
         f"verified: c={args.c} J={args.j_max}, "
         f"{args.j_max + 1} records match the oracle"
@@ -293,8 +278,6 @@ def _select_pair(params, args):
 
 
 def _cmd_uz_demo(args) -> int:
-    if args.c < 1:
-        raise ValueError(f"c must be >= 1, got {args.c}")
     params = make_params(args.c)
     pair = _select_pair(params, args)
     lo, hi = args.n

@@ -2,14 +2,17 @@
 
 Everything here factors elements directly by trial division, with no
 progression machinery involved, so a sieve run can be checked against
-results obtained the slow way.  Performance is a non-goal.
+results obtained the slow way; compare() walks the sieve's record
+stream alongside.  Performance is a non-goal.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import EcParams, element_at
+from .sieve import factorizations
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,19 @@ def brute_sets(params: EcParams, j_max: int) -> tuple[list[int], list[int]]:
     return p_set, sorted(d_seen)
 
 
-def compare(params: EcParams, j_max: int) -> OracleReport:
-    """Run the sieve with full records and check every one against a
-    direct factorization of the same element."""
-    from .sieve import run_sieve
-
-    out = run_sieve(params, j_max, collect_records=True)
-    recs = out.records
+def compare(
+    params: EcParams, j_max: int, on_match: Callable | None = None
+) -> OracleReport:
+    """Check each record of one sieve pass against a direct factorization
+    of the same element, stopping at the first divergence.  on_match,
+    when given, is called with every record that agrees."""
+    stream = factorizations(params, j_max)
     for j in range(j_max + 1):
+        rec = next(stream, None)
         el = element_at(params, j)
         expected = tuple(trial_factor(el.n)) if el.n > 1 else ()
-        rec = recs[j] if j < len(recs) else None
-        if rec is None or (rec.j, rec.x, rec.n, rec.factors) != (j, el.x, el.n, expected):
+        if rec != (j, el.x, el.n, expected):
             return OracleReport(matched=False, first_divergence=(j, rec, expected))
+        if on_match is not None:
+            on_match(rec)
     return OracleReport(matched=True, first_divergence=None)

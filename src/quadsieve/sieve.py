@@ -8,12 +8,19 @@ current index; the remaining cofactor is then 1 or a single new prime
 to the first power, which gets registered in turn.  Every odd prime
 ever seen keeps its one or two progressions live for the rest of the
 run, so the table only grows and each step scans it once for hits.
+
+factorizations() is that single pass, yielding one record per element;
+run_sieve() tallies P, D and checkpoint rows over it, and the oracle
+and the command line consume the same stream.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +48,7 @@ class RegisteredPrime:
     next_hits: list[int]
 
 
-@dataclass(frozen=True)
-class FactorizationRecord:
+class FactorizationRecord(NamedTuple):
     """Complete factorization of one element, factors ascending."""
 
     j: int
@@ -61,13 +67,12 @@ class Checkpoint:
 
 @dataclass
 class SieveOutput:
-    """Prime element values, prime divisors up to the run bound, the
-    requested checkpoint rows and, when collected, every factorization."""
+    """Prime element values, prime divisors up to the run bound and the
+    requested checkpoint rows."""
 
     p_set: list[int]
     d_set: list[int]
     checkpoints: list[Checkpoint]
-    records: list[FactorizationRecord] | None
 
 
 def atkin_primes(limit: int) -> list[int]:
@@ -151,11 +156,9 @@ class SieveState:
 def _crosscheck_pairs(params: EcParams) -> None:
     """Check the distinguished sequence pairs' product identity on a
     window of terms before trusting a verified run."""
-    pairs = [special_pair_one(params)]
-    two = special_pair_two(params)
-    if two is not None:
-        pairs.append(two)
-    for pair in pairs:
+    for pair in (special_pair_one(params), special_pair_two(params)):
+        if pair is None:
+            continue
         u_prev, z_prev = pair.terms(-5)
         for n in range(-4, 6):
             u, z = pair.terms(n)
@@ -166,50 +169,41 @@ def _crosscheck_pairs(params: EcParams) -> None:
             u_prev, z_prev = u, z
 
 
-def run_sieve(
-    params: EcParams,
-    j_max: int,
-    checkpoint_js: list[int] | None = None,
-    *,
-    collect_records: bool = False,
-    verify: bool = False,
-) -> SieveOutput:
-    """Factor every element with index <= j_max and accumulate P and D.
-
-    checkpoint_js lists indices after which a (j, |P|, |D|, elapsed)
-    row is taken; it defaults to [j_max].  |D| at a checkpoint counts
-    the prime divisors seen so far that are <= that checkpoint's index.
-    With verify on, the distinguished sequence pairs are cross-checked
-    up front and every progression-phase cofactor is confirmed prime
-    with a deterministic test; violations raise SieveError.
-    """
+def validate_run(params: EcParams, j_max: int, marks: Collection[int] = ()) -> None:
+    """Raise ValueError unless 0 <= every mark <= j_max, and OverflowError
+    if an element up to j_max leaves the 63-bit range."""
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     element_at(params, j_max)
-    if checkpoint_js is None:
-        checkpoint_js = [j_max]
-    marks = sorted({int(j) for j in checkpoint_js})
-    if marks and (marks[0] < 0 or marks[-1] > j_max):
+    if marks and (min(marks) < 0 or max(marks) > j_max):
         raise ValueError(f"checkpoints must lie in [0, {j_max}]")
+
+
+def factorizations(
+    params: EcParams, j_max: int, *, verify: bool = False
+) -> Iterator[FactorizationRecord]:
+    """Factor every element with index <= j_max, yielding one record per
+    element in index order.
+
+    Arguments are checked when this is called, not at the first record.
+    A progression-phase cofactor below X = 2j + r raises SieveError.
+    With verify on, the sequence pairs are cross-checked up front and
+    every such cofactor is confirmed prime with a deterministic test.
+    """
+    validate_run(params, j_max)
     if verify:
         _crosscheck_pairs(params)
-
-    c, r = params.c, params.r
     head_end = min(params.j_threshold, j_max)
-    trial = [
-        p
-        for p in atkin_primes(isqrt_floor(element_at(params, head_end).n))
-        if p != 2
-    ]
+    limit = isqrt_floor(element_at(params, head_end).n)
+    trial = [p for p in atkin_primes(limit) if p != 2]
+    return _factor_pass(params, j_max, head_end, trial, verify)
 
+
+def _factor_pass(
+    params: EcParams, j_max: int, head_end: int, trial: list[int], verify: bool
+) -> Iterator[FactorizationRecord]:
+    c, r = params.c, params.r
     state = SieveState(params, j_max)
-    p_set: list[int] = []
-    d_seen: set[int] = set()
-    records: list[FactorizationRecord] | None = [] if collect_records else None
-    checkpoints: list[Checkpoint] = []
-    mark_pos = 0
-    t0 = time.perf_counter()
-
     for j in range(j_max + 1):
         x = 2 * j + r
         n = x * x + c
@@ -225,12 +219,11 @@ def run_sieve(
                         rem //= p
                         e += 1
                     factors.append((p, e))
-                    if p not in state.registered:
-                        state.register_prime(p, j)
             if rem > 1:
                 factors.append((rem, 1))
-                if rem not in state.registered:
-                    state.register_prime(rem, j)
+            for p, _ in factors:
+                if p not in state.registered:
+                    state.register_prime(p, j)
         else:
             for i in state._due_slots(j):
                 rec, slot = state._owner[i]
@@ -248,6 +241,15 @@ def run_sieve(
                 state._next[i] += p
                 rec.next_hits[slot] = int(state._next[i])
             if rem > 1:
+                # A prime p < X dividing N_j also divides an earlier
+                # element, at index j mod p or at the dual index
+                # p - r - j, so it is registered already; p == X can only
+                # hold when X divides c.
+                if rem < x:
+                    raise SieveError(
+                        f"index {j}: cofactor {rem} of {n} lies below "
+                        f"X = {x}, so a due progression was missed"
+                    )
                 if verify and not is_prime(rem):
                     raise SieveError(
                         f"index {j}: cofactor {rem} left after all predicted "
@@ -256,27 +258,46 @@ def run_sieve(
                 factors.append((rem, 1))
                 state.register_prime(rem, j)
             factors.sort()
+        yield FactorizationRecord(j, x, n, tuple(factors))
+
+
+def run_sieve(
+    params: EcParams,
+    j_max: int,
+    checkpoint_js: Iterable[int] | None = None,
+    *,
+    on_record: Callable[[FactorizationRecord], object] | None = None,
+    verify: bool = False,
+) -> SieveOutput:
+    """Tally P and D over one pass of factorizations(params, j_max).
+
+    checkpoint_js lists indices after which a (j, |P|, |D|, elapsed)
+    row is taken; it defaults to [j_max].  |D| at a checkpoint counts
+    the prime divisors seen so far that are <= that checkpoint's index.
+    on_record, when given, is called with each record as it passes;
+    verify is handed to the pass.
+    """
+    marks = {j_max} if checkpoint_js is None else {int(j) for j in checkpoint_js}
+    validate_run(params, j_max, marks)
+    stream = factorizations(params, j_max, verify=verify)
+    p_set: list[int] = []
+    d_seen: set[int] = set()
+    rows: list[tuple[int, int, float]] = []
+    t0 = time.perf_counter()
+    for rec in stream:
+        j, _, n, factors = rec
         if factors and factors[0][0] == n:
             p_set.append(n)
         for p, _ in factors:
             if p <= j_max:
                 d_seen.add(p)
-        if records is not None:
-            records.append(FactorizationRecord(j=j, x=x, n=n, factors=tuple(factors)))
-        while mark_pos < len(marks) and marks[mark_pos] == j:
-            checkpoints.append(
-                Checkpoint(
-                    j=j,
-                    p_count=len(p_set),
-                    d_count=sum(1 for q in d_seen if q <= j),
-                    elapsed_seconds=time.perf_counter() - t0,
-                )
-            )
-            mark_pos += 1
-
-    return SieveOutput(
-        p_set=p_set,
-        d_set=sorted(d_seen),
-        checkpoints=checkpoints,
-        records=records,
-    )
+        if on_record is not None:
+            on_record(rec)
+        if j in marks:
+            rows.append((j, len(p_set), time.perf_counter() - t0))
+    d_set = sorted(d_seen)
+    # Every element is odd, and an odd prime q dividing N_i divides
+    # N_(i mod q) too, so a prime q <= j is first seen at an index below
+    # q: the divisors seen by index j that are <= j are all of D up to j.
+    checkpoints = [Checkpoint(j, p, bisect_right(d_set, j), t) for j, p, t in rows]
+    return SieveOutput(p_set=p_set, d_set=d_set, checkpoints=checkpoints)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quadsieve import cli, oracle
 from quadsieve.cli import RunConfig, main, render_factors
 
 
@@ -115,6 +116,37 @@ def test_verify_verbose_lists_records(capsys):
     matched = [line for line in lines if line.endswith(",ok")]
     assert len(matched) == 11
     assert matched[3] == "3,6,39,3*13,ok"
+
+
+def test_verify_verbose_makes_one_pass(monkeypatch, capsys):
+    passes = []
+    real_stream = oracle.factorizations
+
+    def spy_stream(*args, **kwargs):
+        passes.append(args)
+        return real_stream(*args, **kwargs)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("verify must not start a second sieve run")
+
+    monkeypatch.setattr(oracle, "factorizations", spy_stream)
+    monkeypatch.setattr(cli, "run_sieve", no_run)
+    assert run_cli("verify", "--c", "3", "--J", "10", "--verbose") == 0
+    assert len(passes) == 1
+    assert capsys.readouterr().out == (
+        "0,0,3,3,ok\n"
+        "1,2,7,7,ok\n"
+        "2,4,19,19,ok\n"
+        "3,6,39,3*13,ok\n"
+        "4,8,67,67,ok\n"
+        "5,10,103,103,ok\n"
+        "6,12,147,3*7^2,ok\n"
+        "7,14,199,199,ok\n"
+        "8,16,259,7*37,ok\n"
+        "9,18,327,3*109,ok\n"
+        "10,20,403,13*31,ok\n"
+        "verified: c=3 J=10, 11 records match the oracle\n"
+    )
 
 
 def test_verify_range_error(capsys):

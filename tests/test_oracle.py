@@ -1,6 +1,6 @@
 import pytest
 
-from quadsieve import brute_sets, compare, make_params, trial_factor
+from quadsieve import brute_sets, compare, element_at, make_params, oracle, trial_factor
 
 
 def test_trial_factor_examples():
@@ -51,3 +51,33 @@ def test_compare_agrees_with_brute_sets():
         params = make_params(c)
         out = run_sieve(params, 300)
         assert (out.p_set, out.d_set) == brute_sets(params, 300)
+
+
+def test_compare_stops_at_first_divergence(monkeypatch):
+    params, k = make_params(4), 37
+    bad_n = element_at(params, k).n
+    real_factor, real_stream = oracle.trial_factor, oracle.factorizations
+    pulled = []
+
+    def spy_stream(*args, **kwargs):
+        for rec in real_stream(*args, **kwargs):
+            pulled.append(rec.j)
+            yield rec
+
+    def wrong_at_k(n):
+        return real_factor(n) + [(3, 1)] if n == bad_n else real_factor(n)
+
+    monkeypatch.setattr(oracle, "factorizations", spy_stream)
+    monkeypatch.setattr(oracle, "trial_factor", wrong_at_k)
+    report = compare(params, 2000)
+    assert not report.matched
+    j, rec, expected = report.first_divergence
+    assert j == k and rec.n == bad_n and expected[-1] == (3, 1)
+    assert pulled == list(range(k + 1))
+
+
+def test_compare_calls_on_match_per_record():
+    params = make_params(61)
+    matched = []
+    assert compare(params, 200, matched.append).matched
+    assert [rec.j for rec in matched] == list(range(201))

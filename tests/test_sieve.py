@@ -1,8 +1,11 @@
 import pytest
 
 from quadsieve import (
+    SieveError,
     SieveState,
     atkin_primes,
+    brute_sets,
+    factorizations,
     make_params,
     run_sieve,
 )
@@ -53,15 +56,16 @@ def test_run_c1_reference_counts():
 
 
 def test_unit_element_joins_neither_set():
-    out = run_sieve(make_params(1), 0, collect_records=True)
+    out = run_sieve(make_params(1), 0)
+    records = list(factorizations(make_params(1), 0))
     assert out.p_set == [] and out.d_set == []
-    assert out.records[0].factors == ()
+    assert records[0].factors == ()
 
 
 def test_records_round_trip():
-    out = run_sieve(make_params(7), 50, collect_records=True)
-    assert len(out.records) == 51
-    for j, rec in enumerate(out.records):
+    records = list(factorizations(make_params(7), 50))
+    assert len(records) == 51
+    for j, rec in enumerate(records):
         assert rec.j == j
         assert rec.n == rec.x * rec.x + 7
         prod = 1
@@ -99,9 +103,9 @@ def test_register_prime_rejects_duplicate():
 def test_one_new_prime_at_a_time_past_threshold():
     for c in (1, 3, 4, 61):
         params = make_params(c)
-        out = run_sieve(params, 2000, collect_records=True)
+        records = list(factorizations(params, 2000))
         seen = set()
-        for rec in out.records:
+        for rec in records:
             fresh = [(p, e) for p, e in rec.factors if p not in seen]
             if rec.j > params.j_threshold:
                 assert len(fresh) <= 1, (c, rec.j)
@@ -115,16 +119,16 @@ def test_progression_prediction_is_complete():
     # predict, across the whole checked range
     for c in (1, 3, 4):
         params = make_params(c)
-        out = run_sieve(params, 2000, collect_records=True)
+        records = list(factorizations(params, 2000))
         first_seen = {}
-        for rec in out.records:
+        for rec in records:
             for p, _ in rec.factors:
                 first_seen.setdefault(p, rec.j)
         for p, j0 in first_seen.items():
             if p > 2000:
                 continue
             residues = {j0 % p, (p - params.r - j0) % p}
-            for rec in out.records:
+            for rec in records:
                 assert (rec.n % p == 0) == (rec.j % p in residues), (c, p, rec.j)
 
 
@@ -143,6 +147,13 @@ def test_checkpoint_counts_match_shorter_run():
     short = run_sieve(make_params(1), 400)
     assert long.checkpoints[0].p_count == short.checkpoints[0].p_count
     assert long.checkpoints[0].d_count == short.checkpoints[0].d_count
+    for c in (1, 4, 61):
+        params = make_params(c)
+        out = run_sieve(params, 600, [0, 1, 14, 15, 60, 61, 62, 250, 599, 600])
+        assert len(out.checkpoints) == 10
+        for cp in out.checkpoints:
+            p_set, d_set = brute_sets(params, cp.j)
+            assert (cp.p_count, cp.d_count) == (len(p_set), len(d_set)), (c, cp.j)
 
 
 def test_run_argument_errors():
@@ -157,13 +168,46 @@ def test_run_argument_errors():
         run_sieve(p1, 2**32)
 
 
+def test_stream_checks_arguments_when_called():
+    # the errors come from the call itself, before any record is pulled
+    p1 = make_params(1)
+    with pytest.raises(ValueError):
+        factorizations(p1, -1)
+    with pytest.raises(OverflowError, match="4294967296"):
+        factorizations(p1, 2**32)
+
+
+def test_on_record_sees_the_stream():
+    params = make_params(61)
+    seen = []
+    out = run_sieve(params, 300, on_record=seen.append)
+    assert seen == list(factorizations(params, 300))
+    assert out.p_set == [rec.n for rec in seen if rec.factors == ((rec.n, 1),)]
+
+
+def test_missed_progression_fails_a_plain_run(monkeypatch):
+    # dropping 5 from the schedule leaves it as the whole cofactor of
+    # 38^2 + 1 = 5 * 17^2 at index 19, below X = 38; no other check
+    # fails by then, so without this one the run ends with wrong counts
+    register = SieveState.register_prime
+
+    def drop_five(self, p, j_found):
+        return None if p == 5 else register(self, p, j_found)
+
+    monkeypatch.setattr(SieveState, "register_prime", drop_five)
+    with pytest.raises(SieveError, match="index 19: cofactor 5 .* below X = 38"):
+        run_sieve(make_params(1), 19)
+
+
 def test_verify_mode_matches_plain_run():
     for c in (1, 15):
-        plain = run_sieve(make_params(c), 500, collect_records=True)
-        checked = run_sieve(make_params(c), 500, collect_records=True, verify=True)
+        plain = run_sieve(make_params(c), 500)
+        checked = run_sieve(make_params(c), 500, verify=True)
         assert plain.p_set == checked.p_set
         assert plain.d_set == checked.d_set
-        assert plain.records == checked.records
+        assert list(factorizations(make_params(c), 500)) == list(
+            factorizations(make_params(c), 500, verify=True)
+        )
 
 
 def test_d_set_bounded_by_run_length():
