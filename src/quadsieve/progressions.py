@@ -1,25 +1,33 @@
 """Index progressions of the divisors of a family E_c.
 
-When an odd integer A divides some element of E_c it divides infinitely
-many, and the indices at which it does form one or two arithmetic
-progressions with a common difference dividing A.  For A coprime to c
-the difference is A itself and the two residues pair up around the first
-occurrence; the progressions merge into a single self-dual one exactly
-when A divides c.  For prime powers p**a with p | c the difference can
-drop below p**a, and divisibility can be decided on the reduced family
-E_{c / p**nu}.
+An odd integer A divides an element X**2 + c of E_c exactly when X is a
+square root of -c modulo A.  Those roots are computed, not searched
+for: A is factored (trial division, Miller-Rabin, Pollard-Brent rho),
+each prime power p**k of A contributes at most two root classes modulo
+a divisor of p**k (Tonelli-Shanks modulo p, then a Hensel lift), and
+the classes combine by the CRT.  The root set is closed under negation,
+so the first element divisible by A has an abscissa of at most A.
+
+The indices of the multiples of A form one or two arithmetic
+progressions, one per root class of the family parity.  For A coprime
+to c the common difference is A itself and the two residues pair up
+around the first occurrence; the progressions merge into a single
+self-dual one exactly when A divides c.  For prime powers p**a with
+p | c the difference drops below p**a.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .core import INT63_MAX, EcParams, is_prime, isqrt_floor
 
-from .core import INT63_MAX, EcParams, is_prime, isqrt_floor, make_params
-
-_SCAN_CHUNK = 4096
+# Trial divisors taken out of a modulus before Pollard-Brent rho.
+_SMALL_PRIMES = tuple(p for p in range(3, 1000, 2) if is_prime(p))
+# Steps of the rho walk multiplied together between two gcds.
+_RHO_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -91,42 +99,138 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
+def _rho(n: int) -> int:
+    """A proper divisor of the odd composite n (Pollard-Brent rho)."""
+    for step in itertools.count(1):
+        y, q, g, span = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(span):
+                y = (y * y + step) % n
+            done = 0
+            while done < span and g == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, span - done)):
+                    y = (y * y + step) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                done += _RHO_BATCH
+            span *= 2
+        if g == n:
+            # the batch overshot; replay it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + step) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g
+
+
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorization {p: k} of the odd n >= 1."""
+    exps: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            exps[p] = exps.get(p, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            exps[m] = exps.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            pending += [d, m // d]
+    return exps
+
+
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p (Tonelli-Shanks), or
+    None when n is a non-residue.  n must be coprime to p."""
+    n %= p
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    odd, s = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    gen, t, root = pow(z, odd, p), pow(n, odd, p), pow(n, (odd + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(gen, 1 << (s - i - 1), p)
+        s, gen = i, b * b % p
+        t, root = t * gen % p, root * b % p
+    return root
+
+
+def _root_classes(c: int, p: int, k: int) -> tuple[int, tuple[int, ...]] | None:
+    """Roots of X**2 == -c (mod p**k) for an odd prime p, as residues
+    modulo some m dividing p**k; None when there is no root.
+
+    With nu the valuation of c at p: for nu >= k the roots are the
+    multiples of p**ceil(k/2); for odd nu < k there are none; otherwise
+    X = p**(nu/2) * Y with Y**2 == -c/p**nu (mod p**(k - nu)).
+    """
+    nu = _valuation(c, p)
+    if nu >= k:
+        return p ** ((k + 1) // 2), (0,)
+    if nu % 2:
+        return None
+    unit = c // p**nu
+    y = _sqrt_mod_prime(-unit, p)
+    if y is None:
+        return None
+    target, mod = p ** (k - nu), p
+    while mod < target:
+        # Newton step: doubles the p-adic precision of the root
+        mod = min(mod * mod, target)
+        y = (y - (y * y + unit) * pow(2 * y, -1, mod)) % mod
+    h = p ** (nu // 2)
+    m = h * target
+    return m, (h * y % m, -h * y % m)
+
+
 def first_occurrence(params: EcParams, a: int) -> FirstHit | None:
     """Smallest element of E_c divisible by the odd modulus a, if any.
 
-    Scans the abscissae of the family parity over [0, a]; the window is
-    exhaustive, so None means a divides no element at all.
+    Solves X**2 == -c (mod a) exactly and takes the smallest root of the
+    family parity, which is at most a.  The cost is polylogarithmic in a
+    apart from Pollard rho on a composite left after trial division.
+    None means a divides no element at all; OverflowError means the
+    first hit leaves the 63-bit range.
     """
     if a < 1 or a % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 1, got {a}")
     if a > INT63_MAX:
         raise OverflowError(f"modulus {a} exceeds the 63-bit range")
     c, r = params.c, params.r
-    x_cap = isqrt_floor(INT63_MAX - c)
-    hi = min(a, x_cap)
-    found = None
-    if (hi - r) // 2 < _SCAN_CHUNK:
-        x = r
-        while x <= hi:
-            if (x * x + c) % a == 0:
-                found = x
-                break
-            x += 2
-    else:
-        x = r
-        while x <= hi:
-            xs = np.arange(x, min(x + 2 * _SCAN_CHUNK, hi + 1), 2, dtype=np.int64)
-            idx = np.flatnonzero((xs * xs + c) % a == 0)
-            if idx.size:
-                found = int(xs[idx[0]])
-                break
-            x = int(xs[-1]) + 2
-    if found is None:
-        if a > x_cap:
-            raise OverflowError(f"scan for modulus {a} leaves the 63-bit range")
-        return None
-    return FirstHit(modulus_a=a, x0=found, j0=(found - r) // 2,
-                    cofactor_b=(found * found + c) // a)
+    modulus, roots = 1, [0]
+    for p, k in _factor(a).items():
+        classes = _root_classes(c, p, k)
+        if classes is None:
+            return None
+        m, residues = classes
+        inv = pow(modulus, -1, m)
+        roots = [s + modulus * ((t - s) * inv % m) for s in roots for t in residues]
+        modulus *= m
+    # s and s + modulus cover both parities since the modulus is odd
+    x0 = min(s if s % 2 == r else s + modulus for s in roots)
+    if x0 > isqrt_floor(INT63_MAX - c):
+        raise OverflowError(
+            f"first element divisible by {a} leaves the 63-bit range"
+        )
+    return FirstHit(modulus_a=a, x0=x0, j0=(x0 - r) // 2,
+                    cofactor_b=(x0 * x0 + c) // a)
 
 
 def sequence_exists(params: EcParams, a_divisor: int, hit: FirstHit) -> bool:
@@ -138,14 +242,6 @@ def sequence_exists(params: EcParams, a_divisor: int, hit: FirstHit) -> bool:
     return hit.x0 % g == 0
 
 
-def _dual_from_hit(params: EcParams, modulus: int, hit: FirstHit) -> DualProgression:
-    r1 = hit.j0 % modulus
-    r2 = (modulus - params.r - hit.j0) % modulus
-    if r1 == r2:
-        return DualProgression(modulus, (r1,), True)
-    return DualProgression(modulus, tuple(sorted((r1, r2))), False)
-
-
 def _check_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
@@ -154,51 +250,31 @@ def _check_odd_prime(p: int) -> None:
 def dual_for_prime(params: EcParams, p: int) -> DualProgression | None:
     """Index progressions of the multiples of an odd prime p, or None
     when p divides no element.  Self-dual exactly when p | c."""
-    _check_odd_prime(p)
-    hit = first_occurrence(params, p)
-    if hit is None:
-        return None
-    return _dual_from_hit(params, p, hit)
+    return dual_for_prime_power(params, p, 1)
 
 
 def dual_for_prime_power(params: EcParams, p: int, power_exp: int) -> DualProgression | None:
     """Index progressions of the multiples of p**power_exp, or None.
 
-    Writing nu for the valuation of c at p: for nu == 0 the difference
-    is p**power_exp with two residues around the first occurrence; for
-    power_exp <= nu a single self-dual progression with difference
-    p**ceil(power_exp/2); for power_exp > nu the power divides elements
-    only when nu is even and p divides some element of the reduced
-    family E_{c // p**nu}, with difference p**(nu/2 + power_exp - nu).
+    Each root class s (mod m) of X**2 == -c (mod p**power_exp) gives the
+    progression of indices j == (s - r) / 2 (mod m), so the difference
+    is m: p**power_exp when p does not divide c, p**ceil(power_exp/2)
+    when p**power_exp divides c (one self-dual progression), and
+    p**(power_exp - nu/2) in between, where nu is the (even) valuation
+    of c at p.
     """
     _check_odd_prime(p)
     if power_exp < 1:
         raise ValueError(f"exponent must be >= 1, got {power_exp}")
-    c, r = params.c, params.r
-    nu = _valuation(c, p)
-    if nu == 0:
-        hit = first_occurrence(params, p**power_exp)
-        if hit is None:
-            return None
-        return _dual_from_hit(params, p**power_exp, hit)
-    if power_exp <= nu:
-        half = p ** ((power_exp + 1) // 2)
-        x0 = 0 if r == 0 else half
-        return DualProgression(half, ((x0 - r) // 2 % half,), True)
-    if nu % 2:
+    if p**power_exp > INT63_MAX:
+        raise OverflowError(f"modulus {p}**{power_exp} exceeds the 63-bit range")
+    classes = _root_classes(params.c, p, power_exp)
+    if classes is None:
         return None
-    reduced = make_params(c // p**nu)
-    sub = first_occurrence(reduced, p ** (power_exp - nu))
-    if sub is None:
-        return None
-    diff = p ** (nu // 2 + power_exp - nu)
-    ax = p ** (nu // 2) * sub.x0 % diff
-    inv2 = (diff + 1) // 2
-    r1 = (ax - r) * inv2 % diff
-    r2 = (-ax - r) * inv2 % diff
-    if r1 == r2:
-        return DualProgression(diff, (r1,), True)
-    return DualProgression(diff, tuple(sorted((r1, r2))), False)
+    m, roots = classes
+    half = (m + 1) // 2
+    residues = tuple(sorted({(s - params.r) * half % m for s in roots}))
+    return DualProgression(m, residues, len(residues) == 1)
 
 
 def power_plan(params: EcParams, p: int, power_exp: int) -> PowerPlan | None:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -190,6 +191,15 @@ def test_uz_demo_family_needs_modulus(capsys):
 def test_uz_demo_family_rejects_absent_divisor(capsys):
     assert run_cli("uz-demo", "--c", "1", "--which", "family", "--A", "3") == 2
     capsys.readouterr()
+
+
+def test_uz_demo_family_answers_large_absent_divisor_at_once(capsys):
+    # 2**61 - 1 is a prime = 3 (mod 4), so -1 has no square root modulo it
+    t0 = time.perf_counter()
+    assert run_cli("uz-demo", "--c", "1", "--which", "family",
+                   "--A", "2305843009213693951") == 2
+    assert time.perf_counter() - t0 < 2.0
+    assert "divides no element" in capsys.readouterr().err
 
 
 def test_uz_demo_appendix(capsys):

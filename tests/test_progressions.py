@@ -1,7 +1,12 @@
+import math
+import random
+import time
+
 import numpy as np
 import pytest
 
 from quadsieve import (
+    INT63_MAX,
     dual_for_prime,
     dual_for_prime_power,
     first_occurrence,
@@ -261,3 +266,91 @@ def test_lift_solutions_predict_next_power_hits():
             assert ((sol.k_base is not None) or (sol.k_offset is not None)) == bool(
                 lifted
             )
+
+
+# c with square prime-power factors, whose root classes mod p^k have a
+# modulus below p^k
+SQUARE_HEAVY_C = (2 * 3**6, 5**4, 3**4 * 7**2, 2 * 3**2 * 5**2, 7**4 * 2)
+
+
+def scan_first_abscissa(c, a):
+    """Smallest x of the family parity in [0, a] with a | x^2 + c, by scan."""
+    r = 1 - c % 2
+    xs = np.arange(r, a + 1, 2, dtype=np.int64)
+    idx = np.flatnonzero((xs * xs + c) % a == 0)
+    return int(xs[idx[0]]) if idx.size else None
+
+
+def test_first_occurrence_matches_scan_exhaustively():
+    for c in (*range(1, 121), *SQUARE_HEAVY_C):
+        params = make_params(c)
+        for a in range(1, 400, 2):
+            hit = first_occurrence(params, a)
+            x0 = scan_first_abscissa(c, a)
+            assert (None if hit is None else hit.x0) == x0, (c, a)
+            if hit is not None:
+                assert hit.j0 == (x0 - params.r) // 2
+                assert hit.modulus_a * hit.cofactor_b == x0 * x0 + c
+
+
+def test_first_occurrence_matches_sympy_roots():
+    sqrt_mod = pytest.importorskip("sympy.ntheory").sqrt_mod
+    rng = random.Random(20221)
+    seen = set()
+    for case in range(60):
+        a = rng.getrandbits(rng.randint(2, 62)) | 1
+        c = rng.randint(1, 10**6) if case % 3 else rng.choice(SQUARE_HEAVY_C) * rng.randint(1, 9) ** 2
+        params = make_params(c)
+        roots = sqrt_mod(-c % a, a, all_roots=True)
+        want = min((s if s % 2 == params.r else s + a for s in roots), default=None)
+        if want is not None and want > math.isqrt(INT63_MAX - c):
+            with pytest.raises(OverflowError):
+                first_occurrence(params, a)
+            seen.add("overflow")
+            continue
+        hit = first_occurrence(params, a)
+        assert (None if hit is None else hit.x0) == want, (c, a)
+        seen.add("none" if hit is None else "hit")
+    assert seen == {"none", "hit", "overflow"}
+
+
+def timed(call, *args):
+    t0 = time.perf_counter()
+    out = call(*args)
+    assert time.perf_counter() - t0 < 2.0
+    return out
+
+
+def test_first_occurrence_large_prime_without_root():
+    # 2^61 - 1 is a prime = 3 (mod 4): -1 is no square modulo it
+    assert timed(first_occurrence, make_params(1), 2**61 - 1) is None
+
+
+def test_first_occurrence_balanced_semiprime():
+    # two ~31-bit primes = 1 (mod 4) with 1931522040^2 + 1 = p * q
+    p, q, x = 2999998009, 1243593289, 1931522040
+    assert is_prime(p) and is_prime(q) and p % 4 == q % 4 == 1
+    assert x * x + 1 == p * q
+    hit = timed(first_occurrence, make_params(1), p * q)
+    assert (hit.x0 * hit.x0 + 1) % (p * q) == 0
+    assert hit.x0 % 2 == 0 and hit.x0 <= x <= p * q
+
+
+def test_first_occurrence_overflows_past_the_cap():
+    # the smallest even root of X^2 = -1 modulo this prime exceeds isqrt(2^63 - 2)
+    a = 2305843009213693973
+    assert is_prime(a) and a % 4 == 1
+    t0 = time.perf_counter()
+    with pytest.raises(OverflowError):
+        first_occurrence(make_params(1), a)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_first_occurrence_at_the_63_bit_edge():
+    # c = 2^63 - 17 leaves room for X <= 4 only: 4^2 + c = 2^63 - 1 is the
+    # last element in range, and 53 first divides 6^2 + c = 2^63 + 19
+    params = make_params(INT63_MAX - 16)
+    hit = first_occurrence(params, INT63_MAX)
+    assert (hit.x0, hit.cofactor_b) == (4, 1)
+    with pytest.raises(OverflowError):
+        first_occurrence(params, 53)
