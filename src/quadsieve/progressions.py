@@ -200,6 +200,21 @@ def _root_classes(c: int, p: int, k: int) -> tuple[int, tuple[int, ...]] | None:
     return m, (h * y % m, -h * y % m)
 
 
+def _index_classes(params: EcParams, p: int, k: int) -> tuple[int, tuple[int, ...]] | None:
+    """Index classes of the elements of E_c divisible by p**k, for an odd
+    prime p, as (m, sorted residues j mod m); None when there are none.
+
+    A root class s (mod m) of X**2 == -c (mod p**k) holds the abscissae
+    X = 2j + r with j == (s - r) / 2 (mod m), and m is odd.
+    """
+    classes = _root_classes(params.c, p, k)
+    if classes is None:
+        return None
+    m, roots = classes
+    half = (m + 1) // 2
+    return m, tuple(sorted({(s - params.r) * half % m for s in roots}))
+
+
 def first_occurrence(params: EcParams, a: int) -> FirstHit | None:
     """Smallest element of E_c divisible by the odd modulus a, if any.
 
@@ -268,12 +283,10 @@ def dual_for_prime_power(params: EcParams, p: int, power_exp: int) -> DualProgre
         raise ValueError(f"exponent must be >= 1, got {power_exp}")
     if p**power_exp > INT63_MAX:
         raise OverflowError(f"modulus {p}**{power_exp} exceeds the 63-bit range")
-    classes = _root_classes(params.c, p, power_exp)
+    classes = _index_classes(params, p, power_exp)
     if classes is None:
         return None
-    m, roots = classes
-    half = (m + 1) // 2
-    residues = tuple(sorted({(s - params.r) * half % m for s in roots}))
+    m, residues = classes
     return DualProgression(m, residues, len(residues) == 1)
 
 

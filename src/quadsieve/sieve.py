@@ -1,13 +1,18 @@
 """Two-phase factorization sieve over E_c.
 
 Elements are processed in index order.  Head indices, up to the
-parameter threshold, are factored by trial division against a fixed
-prime table.  Past the threshold each element is divided by exactly
-those registered primes whose index progressions predict a hit at the
-current index; the remaining cofactor is then 1 or a single new prime
-to the first power, which gets registered in turn.  Every odd prime
-ever seen keeps its one or two progressions live for the rest of the
-run, so the table only grows and each step scans it once for hits.
+parameter threshold, are sieved by root classes, as the quadratic sieve
+treats polynomial values: every odd prime p up to the square root of
+the last head element walks the one or two index classes on which
+X**2 == -c (mod p) and marks p at each index it lands on, a segment of
+indices at a time.  Each head element is then divided by exactly its
+marked primes, to their full powers, which leaves 1 or one prime.
+Past the threshold each element is divided by exactly those registered
+primes whose index progressions predict a hit at the current index;
+the remaining cofactor is then 1 or a single new prime to the first
+power, which gets registered in turn.  Every odd prime ever seen keeps
+its one or two progressions live for the rest of the run, so the table
+only grows and each step scans it once for hits.
 
 factorizations() is that single pass, yielding one record per element;
 run_sieve() tallies P, D and checkpoint rows over it, and the oracle
@@ -25,13 +30,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import EcParams, element_at, is_prime, isqrt_floor
+from .progressions import _index_classes
 from .uz import special_pair_one, special_pair_two
 
 _GROW = 1024
+# Head indices sieved at a time; the marks of one segment are all the
+# head keeps in memory.
+_HEAD_SEGMENT = 1 << 13
 
 
 class SieveError(RuntimeError):
-    """A factorization step contradicted the single-new-prime guarantee."""
+    """A factorization step or the run's D contradicted what the
+    family's structure guarantees."""
 
 
 @dataclass
@@ -127,8 +137,8 @@ class SieveState:
         """Open the index progressions of a newly seen odd prime.
 
         The discovery index and its dual give the residues; scheduling
-        starts strictly past both the discovery index and the trial
-        division range, so nothing already factored is revisited.
+        starts strictly past both the discovery index and the head, so
+        nothing already factored is revisited.
         """
         if p in self.registered:
             raise ValueError(f"prime {p} is already registered")
@@ -169,6 +179,25 @@ def _crosscheck_pairs(params: EcParams) -> None:
             u_prev, z_prev = u, z
 
 
+def _check_d_closed_form(params: EcParams, j_max: int, d_set: list[int]) -> None:
+    """Raise SieveError unless d_set, ascending, holds exactly the odd
+    primes p <= j_max with (-c)**((p - 1) / 2) != -1 (mod p).
+
+    Those are the odd primes for which -c is a square mod p or p | c,
+    the ones with a root class; the first element such a p divides has
+    an index below p, and no element is even.
+    """
+    expected = [
+        p for p in atkin_primes(j_max)[1:] if pow(-params.c, (p - 1) // 2, p) != p - 1
+    ]
+    if d_set != expected:
+        first = min(set(d_set) ^ set(expected))
+        where = "missing from" if first in expected else "extra in"
+        raise SieveError(
+            f"prime {first} is {where} D up to {j_max} for c = {params.c}"
+        )
+
+
 def validate_run(params: EcParams, j_max: int, marks: Collection[int] = ()) -> None:
     """Raise ValueError unless 0 <= every mark <= j_max, and OverflowError
     if an element up to j_max leaves the 63-bit range."""
@@ -185,79 +214,117 @@ def factorizations(
     """Factor every element with index <= j_max, yielding one record per
     element in index order.
 
-    Arguments are checked when this is called, not at the first record.
-    A progression-phase cofactor below X = 2j + r raises SieveError.
-    With verify on, the sequence pairs are cross-checked up front and
-    every such cofactor is confirmed prime with a deterministic test.
+    The head, indices up to min(threshold, j_max), is sieved by the root
+    classes of the odd primes up to the square root of its last element,
+    so each head element is divided by exactly the primes that divide
+    it.  Arguments are checked when this is called, not at the first
+    record.  A marked prime that does not divide its element, a head
+    cofactor at or below that square root and a progression-phase
+    cofactor below X = 2j + r each raise SieveError.  With verify on,
+    the sequence pairs are cross-checked up front and every cofactor is
+    confirmed prime with a deterministic test.
     """
     validate_run(params, j_max)
     if verify:
         _crosscheck_pairs(params)
-    head_end = min(params.j_threshold, j_max)
-    limit = isqrt_floor(element_at(params, head_end).n)
-    trial = [p for p in atkin_primes(limit) if p != 2]
-    return _factor_pass(params, j_max, head_end, trial, verify)
+    return _factor_pass(params, j_max, verify)
 
 
 def _factor_pass(
-    params: EcParams, j_max: int, head_end: int, trial: list[int], verify: bool
+    params: EcParams, j_max: int, verify: bool
 ) -> Iterator[FactorizationRecord]:
     c, r = params.c, params.r
     state = SieveState(params, j_max)
-    for j in range(j_max + 1):
-        x = 2 * j + r
-        n = x * x + c
-        factors: list[tuple[int, int]] = []
-        rem = n
-        if j <= head_end:
-            for p in trial:
-                if p * p > rem:
-                    break
-                if rem % p == 0:
-                    e = 0
-                    while rem % p == 0:
-                        rem //= p
-                        e += 1
-                    factors.append((p, e))
-            if rem > 1:
-                factors.append((rem, 1))
-            for p, _ in factors:
-                if p not in state.registered:
-                    state.register_prime(p, j)
-        else:
-            for i in state._due_slots(j):
-                rec, slot = state._owner[i]
-                p = rec.p
+    head_end = min(params.j_threshold, j_max)
+    limit = isqrt_floor(element_at(params, head_end).n)
+    # one walk per root class: its prime and the next index it marks;
+    # ascending primes keep every index's marks ascending
+    walk_p: list[int] = []
+    walk_j: list[int] = []
+    for p in atkin_primes(limit)[1:]:
+        classes = _index_classes(params, p, 1)
+        if classes is not None:
+            walk_p += [p] * len(classes[1])
+            walk_j += classes[1]
+    for lo in range(0, head_end + 1, _HEAD_SEGMENT):
+        hi = min(lo + _HEAD_SEGMENT, head_end + 1)
+        marks: list[list[int]] = [[] for _ in range(hi - lo)]
+        for w, p in enumerate(walk_p):
+            j = walk_j[w]
+            while j < hi:
+                marks[j - lo].append(p)
+                j += p
+            walk_j[w] = j
+        for j, marked in enumerate(marks, lo):
+            x = 2 * j + r
+            n = x * x + c
+            factors: list[tuple[int, int]] = []
+            rem = n
+            for p in marked:
                 e = 0
                 while rem % p == 0:
                     rem //= p
                     e += 1
                 if e == 0:
                     raise SieveError(
-                        f"index {j}: progression for {p} predicted a hit "
+                        f"index {j}: the head sieve marked {p} "
                         f"but {p} does not divide {n}"
                     )
                 factors.append((p, e))
-                state._next[i] += p
-                rec.next_hits[slot] = int(state._next[i])
             if rem > 1:
-                # A prime p < X dividing N_j also divides an earlier
-                # element, at index j mod p or at the dual index
-                # p - r - j, so it is registered already; p == X can only
-                # hold when X divides c.
-                if rem < x:
+                # every prime up to limit >= sqrt(n) has been divided out
+                if rem <= limit:
                     raise SieveError(
-                        f"index {j}: cofactor {rem} of {n} lies below "
-                        f"X = {x}, so a due progression was missed"
+                        f"index {j}: cofactor {rem} of {n} is at most "
+                        f"{limit}, so a root class was missed"
                     )
                 if verify and not is_prime(rem):
                     raise SieveError(
-                        f"index {j}: cofactor {rem} left after all predicted "
-                        f"divisors of {n} is neither 1 nor prime"
+                        f"index {j}: head cofactor {rem} of {n} is not prime"
                     )
                 factors.append((rem, 1))
-                state.register_prime(rem, j)
-            factors.sort()
+            for p, _ in factors:
+                if p not in state.registered:
+                    state.register_prime(p, j)
+            yield FactorizationRecord(j, x, n, tuple(factors))
+    for j in range(head_end + 1, j_max + 1):
+        x = 2 * j + r
+        n = x * x + c
+        factors = []
+        rem = n
+        for i in state._due_slots(j):
+            rec, slot = state._owner[i]
+            p = rec.p
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            if e == 0:
+                raise SieveError(
+                    f"index {j}: progression for {p} predicted a hit "
+                    f"but {p} does not divide {n}"
+                )
+            factors.append((p, e))
+            state._next[i] += p
+            rec.next_hits[slot] = int(state._next[i])
+        if rem > 1:
+            # A prime p < X dividing N_j also divides an earlier
+            # element, at index j mod p or at the dual index
+            # p - r - j, so it is registered already; p == X can only
+            # hold when X divides c.
+            if rem < x:
+                raise SieveError(
+                    f"index {j}: cofactor {rem} of {n} lies below "
+                    f"X = {x}, so a due progression was missed"
+                )
+            if verify and not is_prime(rem):
+                raise SieveError(
+                    f"index {j}: cofactor {rem} left after all predicted "
+                    f"divisors of {n} is neither 1 nor prime"
+                )
+            factors.append((rem, 1))
+            state.register_prime(rem, j)
+        factors.sort()
         yield FactorizationRecord(j, x, n, tuple(factors))
 
 
@@ -275,7 +342,8 @@ def run_sieve(
     row is taken; it defaults to [j_max].  |D| at a checkpoint counts
     the prime divisors seen so far that are <= that checkpoint's index.
     on_record, when given, is called with each record as it passes;
-    verify is handed to the pass.
+    verify is handed to the pass.  After the pass D is checked against
+    its closed form, see _check_d_closed_form.
     """
     marks = {j_max} if checkpoint_js is None else {int(j) for j in checkpoint_js}
     validate_run(params, j_max, marks)
@@ -296,6 +364,7 @@ def run_sieve(
         if j in marks:
             rows.append((j, len(p_set), time.perf_counter() - t0))
     d_set = sorted(d_seen)
+    _check_d_closed_form(params, j_max, d_set)
     # Every element is odd, and an odd prime q dividing N_i divides
     # N_(i mod q) too, so a prime q <= j is first seen at an index below
     # q: the divisors seen by index j that are <= j are all of D up to j.

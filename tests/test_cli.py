@@ -24,6 +24,13 @@ def test_run_reference_counts(capsys):
     assert lines[1].startswith("10000,1558,609,")
 
 
+def test_run_head_counts(capsys):
+    # J = J_c for c = 80002, so every element is factored in the head
+    assert run_cli("run", "--c", "80002", "--J", "20000") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("20000,2818,1158,")
+
+
 def test_run_zero_length(capsys):
     assert run_cli("run", "--c", "1", "--J", "0") == 0
     lines = capsys.readouterr().out.splitlines()

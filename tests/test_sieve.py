@@ -8,6 +8,8 @@ from quadsieve import (
     factorizations,
     make_params,
     run_sieve,
+    sieve,
+    trial_factor,
 )
 
 
@@ -216,3 +218,71 @@ def test_d_set_bounded_by_run_length():
     assert 13 not in out.d_set
     out = run_sieve(make_params(1), 13)
     assert 13 in out.d_set
+
+
+def test_head_sieve_matches_trial_division(monkeypatch):
+    # 64-index segments make the walks of most primes cross segment
+    # boundaries; the square-heavy c and the c near 10**9 have heads
+    # longer than the range factored here
+    monkeypatch.setattr(sieve, "_HEAD_SEGMENT", 64)
+    cases = [(c, (c - 1) // 4) for c in range(1, 301)]
+    cases += [(3**12, 1000), (4 * 5**8, 1000), (7**2 * 11**2 * 13, 1000)]
+    cases += [(10**9 + 7, 2000)]
+    for c, j_max in cases:
+        params = make_params(c)
+        assert j_max <= params.j_threshold
+        for rec in factorizations(params, j_max):
+            expected = tuple(trial_factor(rec.n)) if rec.n > 1 else ()
+            assert rec.factors == expected, (c, rec.j)
+
+
+def _with_classes_of_five(monkeypatch, change):
+    classes = sieve._index_classes
+
+    def patched(params, p, k):
+        found = classes(params, p, k)
+        return change(found) if p == 5 else found
+
+    monkeypatch.setattr(sieve, "_index_classes", patched)
+
+
+def test_head_mark_that_misses_its_element_raises(monkeypatch):
+    # for c = 61 the multiples of 5 sit at j == 1, 4 (mod 5); moving the
+    # second class to 0 marks 5 at N_0 = 61
+    _with_classes_of_five(monkeypatch, lambda mc: (mc[0], (mc[1][0], 0)))
+    with pytest.raises(SieveError, match="index 0: the head sieve marked 5 but 5 does not divide 61"):
+        run_sieve(make_params(61), 15)
+
+
+def test_head_missed_root_class_raises(monkeypatch):
+    # dropping the class j == 4 (mod 5) leaves N_4 = 125 whole, which
+    # only the primality test catches, and 5 alone of N_9 = 385 = 5*7*11,
+    # below the square root bound isqrt(N_15) = 31
+    _with_classes_of_five(monkeypatch, lambda mc: (mc[0], mc[1][:1]))
+    with pytest.raises(SieveError, match="index 9: cofactor 5 of 385 is at most 31"):
+        run_sieve(make_params(61), 15)
+    with pytest.raises(SieveError, match="index 4: head cofactor 125 of 125 is not prime"):
+        run_sieve(make_params(61), 15, verify=True)
+
+
+def test_d_set_matches_closed_form():
+    # D holds the odd primes p <= J with (-c)^((p-1)/2) != -1 (mod p)
+    odd_primes = eratosthenes(3000)[1:]
+    for c in [*range(1, 151), 1000, 4096, 9999, 80002, 123456]:
+        expected = [p for p in odd_primes if pow(-c, (p - 1) // 2, p) != p - 1]
+        assert run_sieve(make_params(c), 3000).d_set == expected, c
+
+
+def test_d_closed_form_check_names_the_first_wrong_prime(monkeypatch):
+    params = make_params(1)
+    sieve._check_d_closed_form(params, 20, [5, 13, 17])
+    with pytest.raises(SieveError, match="prime 13 is missing from D up to 20 for c = 1"):
+        sieve._check_d_closed_form(params, 20, [5, 17])
+    with pytest.raises(SieveError, match="prime 3 is extra in D up to 20 for c = 1"):
+        sieve._check_d_closed_form(params, 20, [3, 5, 13, 17])
+    # every run makes the check: a prime table without 13 leaves the
+    # c = 1 head (N_0 = 1) as it is but makes the 13 in D extra
+    primes = sieve.atkin_primes
+    monkeypatch.setattr(sieve, "atkin_primes", lambda n: [p for p in primes(n) if p != 13])
+    with pytest.raises(SieveError, match="prime 13 is extra in D up to 20"):
+        run_sieve(params, 20)
