@@ -4,7 +4,7 @@ An odd integer A divides an element X**2 + c of E_c exactly when X is a
 square root of -c modulo A.  Those roots are computed, not searched
 for: A is factored (trial division, Miller-Rabin, Pollard-Brent rho),
 each prime power p**k of A contributes at most two root classes modulo
-a divisor of p**k (Tonelli-Shanks modulo p, then a Hensel lift), and
+a divisor of p**k (a square root modulo p, then a Hensel lift), and
 the classes combine by the CRT.  The root set is closed under negation,
 so the first element divisible by A has an abscissa of at most A.
 
@@ -147,13 +147,24 @@ def _factor(n: int) -> dict[int, int]:
 
 
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
-    """A square root of n modulo the odd prime p (Tonelli-Shanks), or
-    None when n is a non-residue.  n must be coprime to p."""
+    """A square root of n modulo the odd prime p, or None when n is a
+    non-residue.  n must be coprime to p.
+
+    For p == 3 (mod 4) and p == 5 (mod 8) one exponentiation gives the
+    only candidate (Atkin's formula for the latter), and squaring it
+    tells a residue from a non-residue; other p use Euler's criterion
+    and then Tonelli-Shanks.
+    """
     n %= p
+    if p % 4 == 3:
+        root = pow(n, (p + 1) // 4, p)
+        return root if root * root % p == n else None
+    if p % 8 == 5:
+        v = pow(2 * n, (p - 5) // 8, p)
+        root = n * v * (2 * n * v * v - 1) % p
+        return root if root * root % p == n else None
     if pow(n, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
     odd, s = p - 1, 0
     while odd % 2 == 0:
         odd //= 2

@@ -10,9 +10,13 @@ marked primes, to their full powers, which leaves 1 or one prime.
 Past the threshold each element is divided by exactly those registered
 primes whose index progressions predict a hit at the current index;
 the remaining cofactor is then 1 or a single new prime to the first
-power, which gets registered in turn.  Every odd prime ever seen keeps
-its one or two progressions live for the rest of the run, so the table
-only grows and each step scans it once for hits.
+power, which gets registered in turn.  The progression table is built
+only when a run goes past the head: the head notes the index at which
+it first saw each prime, and those primes are registered in that
+order at the hand-off, so a run that ends inside the head never
+builds the table and never imports numpy.  Every odd prime ever seen
+keeps its one or two progressions live for the rest of the run, so the
+table only grows and each step scans it once for hits.
 
 factorizations() is that single pass, yielding one record per element;
 run_sieve() tallies P, D and checkpoint rows over it, and the oracle
@@ -25,9 +29,8 @@ import time
 from bisect import bisect_right
 from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import EcParams, element_at, is_prime, isqrt_floor
 from .progressions import _index_classes
@@ -86,47 +89,38 @@ class SieveOutput:
 
 
 def atkin_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending, by the quadratic-form sieve."""
+    """All primes <= limit, ascending.
+
+    A sieve of Eratosthenes over the odd numbers in a bytearray; the
+    name is kept from the quadratic-form (Atkin) sieve it replaced.
+    """
     if limit < 2:
         return []
-    if limit < 5:
-        return [2] if limit < 3 else [2, 3]
-    counts = np.zeros(limit + 1, dtype=np.uint8)
-    top = isqrt_floor(limit)
-    for x in range(1, top + 1):
-        x2 = x * x
-        if 4 * x2 <= limit:
-            y = np.arange(1, isqrt_floor(limit - 4 * x2) + 1)
-            n = 4 * x2 + y * y
-            np.add.at(counts, n[(n % 12 == 1) | (n % 12 == 5)], 1)
-        if 3 * x2 <= limit:
-            y = np.arange(1, isqrt_floor(limit - 3 * x2) + 1)
-            n = 3 * x2 + y * y
-            np.add.at(counts, n[n % 12 == 7], 1)
-        if x >= 2:
-            s = 3 * x2 - limit
-            ylo = 1 if s <= 0 else isqrt_floor(s - 1) + 1
-            if ylo <= x - 1:
-                y = np.arange(ylo, x)
-                n = 3 * x2 - y * y
-                np.add.at(counts, n[n % 12 == 11], 1)
-    flags = (counts & 1).astype(bool)
-    flags[:5] = False
-    for n in range(5, top + 1):
-        if flags[n]:
-            flags[n * n :: n * n] = False
-    return [2, 3] + np.flatnonzero(flags).tolist()
+    # flag i stands for the odd number 2*i + 1
+    size = (limit + 1) // 2
+    flags = bytearray([1]) * size
+    flags[0] = 0
+    for i in range(1, (isqrt_floor(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            flags[start::p] = bytes(len(range(start, size, p)))
+    return [2, *compress(range(1, limit + 1, 2), flags)]
 
 
 class SieveState:
-    """Mutable progression table for one run.
+    """Mutable progression table for one run past the head.
 
     Next-hit indices live in a flat int64 array so one vectorized
     comparison per element finds all due progressions; the parallel
-    owner list maps array slots back to their registered primes.
+    owner list maps array slots back to their registered primes.  The
+    table is the one user of numpy, which it imports when it is built,
+    so runs that end inside the head never load it.
     """
 
     def __init__(self, params: EcParams, j_max: int):
+        import numpy as np
+
         self.params = params
         self.j_max = j_max
         self.registered: dict[int, RegisteredPrime] = {}
@@ -152,6 +146,8 @@ class SieveState:
         for slot, nh in enumerate(next_hits):
             i = len(self._owner)
             if i == len(self._next):
+                import numpy as np
+
                 grown = np.empty(2 * len(self._next), dtype=np.int64)
                 grown[:i] = self._next
                 self._next = grown
@@ -159,8 +155,8 @@ class SieveState:
             self._owner.append((rec, slot))
         return rec
 
-    def _due_slots(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self._next[: len(self._owner)] == j)
+    def _due_slots(self, j: int):
+        return (self._next[: len(self._owner)] == j).nonzero()[0]
 
 
 def _crosscheck_pairs(params: EcParams) -> None:
@@ -234,13 +230,14 @@ def _factor_pass(
     params: EcParams, j_max: int, verify: bool
 ) -> Iterator[FactorizationRecord]:
     c, r = params.c, params.r
-    state = SieveState(params, j_max)
     head_end = min(params.j_threshold, j_max)
     limit = isqrt_floor(element_at(params, head_end).n)
     # one walk per root class: its prime and the next index it marks;
     # ascending primes keep every index's marks ascending
     walk_p: list[int] = []
     walk_j: list[int] = []
+    # every prime the head divides out, with the index it first did so
+    first_seen: dict[int, int] = {}
     for p in atkin_primes(limit)[1:]:
         classes = _index_classes(params, p, 1)
         if classes is not None:
@@ -284,9 +281,15 @@ def _factor_pass(
                     )
                 factors.append((rem, 1))
             for p, _ in factors:
-                if p not in state.registered:
-                    state.register_prime(p, j)
+                first_seen.setdefault(p, j)
             yield FactorizationRecord(j, x, n, tuple(factors))
+    if j_max == head_end:
+        return
+    # the hand-off: the head's primes open their progressions in the
+    # order it first saw them
+    state = SieveState(params, j_max)
+    for p, j in first_seen.items():
+        state.register_prime(p, j)
     for j in range(head_end + 1, j_max + 1):
         x = 2 * j + r
         n = x * x + c

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import quadsieve
 from quadsieve import cli, oracle
 from quadsieve.cli import RunConfig, main, render_factors
 
@@ -231,3 +236,30 @@ def test_run_config_validation():
         RunConfig(c=0, j_max=10, checkpoints=(5,))
     config = RunConfig(c=1, j_max=10, checkpoints=(5, 10))
     assert config.fmt == "csv"
+
+
+NUMPY_PROBE = """
+import sys
+import quadsieve.cli
+from quadsieve import first_occurrence, make_params
+first_occurrence(make_params(1), 65)
+quadsieve.cli.main(["uz-demo", "--c", "15", "--which", "special2", "--n=-2..2"])
+quadsieve.cli.main(["run", "--c", "80002", "--J", "20000"])
+print("numpy" in sys.modules)
+quadsieve.cli.main(["run", "--c", "80002", "--J", "20001"])
+print("numpy" in sys.modules)
+"""
+
+
+def test_only_the_progression_phase_loads_numpy():
+    src = str(Path(quadsieve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = [line for line in done.stdout.splitlines() if line in ("False", "True")]
+    assert loaded == ["False", "True"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quadsieve import (
@@ -120,3 +122,32 @@ def test_is_prime_range_errors():
         is_prime(-2)
     with pytest.raises(ValueError):
         is_prime(INT63_MAX + 1)
+
+
+# psi_k, the smallest strong pseudoprime to the first k prime bases, for
+# k = 1..11 (OEIS A014233), with psi_7 = psi_8 and psi_9 = psi_10 =
+# psi_11 listed once
+MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+
+
+def test_is_prime_tiers_match_sympy():
+    isprime = pytest.importorskip("sympy").isprime
+    for n in range(200_000):
+        assert is_prime(n) == isprime(n), n
+    # bit lengths drawn uniformly, so every size tier gets samples
+    rng = random.Random(1373653)
+    for _ in range(20_000):
+        n = rng.getrandbits(rng.randint(2, 63))
+        assert is_prime(n) == isprime(n), n
+    for psi in MR_PSI:
+        assert not isprime(psi)
+        assert not is_prime(psi), psi

@@ -16,6 +16,7 @@ from quadsieve import (
     power_plan,
     sequence_exists,
 )
+from quadsieve.progressions import _sqrt_mod_prime
 
 ODD_PRIMES_50 = [p for p in range(3, 50, 2) if is_prime(p)]
 
@@ -354,3 +355,20 @@ def test_first_occurrence_at_the_63_bit_edge():
     assert (hit.x0, hit.cofactor_b) == (4, 1)
     with pytest.raises(OverflowError):
         first_occurrence(params, 53)
+
+
+def test_sqrt_mod_prime_matches_brute_force():
+    # every branch: p == 3 (mod 4), p == 5 (mod 8) and Tonelli-Shanks
+    # for p == 1 (mod 8), against the squares of 1..p-1
+    for p in range(3, 3000, 2):
+        if not is_prime(p):
+            continue
+        squares = {x * x % p for x in range(1, p)}
+        for n in range(1, p):
+            root = _sqrt_mod_prime(n, p)
+            if n in squares:
+                assert root is not None and root * root % p == n, (p, n)
+            else:
+                assert root is None, (p, n)
+        # callers pass -c, a representative outside 1..p-1
+        assert (_sqrt_mod_prime(-1, p) is None) == (p % 4 == 3), p

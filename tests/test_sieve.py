@@ -286,3 +286,25 @@ def test_d_closed_form_check_names_the_first_wrong_prime(monkeypatch):
     monkeypatch.setattr(sieve, "atkin_primes", lambda n: [p for p in primes(n) if p != 13])
     with pytest.raises(SieveError, match="prime 13 is extra in D up to 20"):
         run_sieve(params, 20)
+
+
+def test_hand_off_to_the_progression_phase_matches_trial_division():
+    # the records around J_c, where the head's primes are registered
+    # and the progression phase takes over
+    for c in (80002, 4 * 10**5 + 2, 3**12):
+        params = make_params(c)
+        j_c = params.j_threshold
+        for rec in factorizations(params, j_c + 500):
+            if rec.j >= j_c - 100:
+                assert rec.factors == tuple(trial_factor(rec.n)), (c, rec.j)
+
+
+def test_run_inside_the_head_builds_no_schedule(monkeypatch):
+    def refuse(self, p, j_found):
+        raise AssertionError(f"registered {p} at index {j_found}")
+
+    monkeypatch.setattr(SieveState, "register_prime", refuse)
+    out = run_sieve(make_params(80002), 20000)
+    assert (len(out.p_set), len(out.d_set)) == (2818, 1158)
+    with pytest.raises(AssertionError, match="registered"):
+        run_sieve(make_params(80002), 20001)
