@@ -46,6 +46,8 @@ class RunConfig:
     verify: bool = False
 
     def __post_init__(self):
+        if not self.checkpoints:
+            raise ValueError("checkpoints must name at least one index")
         if list(self.checkpoints) != sorted(set(self.checkpoints)):
             raise ValueError("checkpoints must be strictly ascending")
         validate_run(make_params(self.c), self.j_max, self.checkpoints)
@@ -218,7 +220,7 @@ def _audit_factorization_file(path: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.checkpoints:
+    if args.checkpoints is not None:
         marks = tuple(
             sorted({int(tok) for tok in args.checkpoints.split(",") if tok.strip()})
         )

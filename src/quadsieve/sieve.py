@@ -14,9 +14,10 @@ power, which gets registered in turn.  The progression table is built
 only when a run goes past the head: the head notes the index at which
 it first saw each prime, and those primes are registered in that
 order at the hand-off, so a run that ends inside the head never
-builds the table and never imports numpy.  Every odd prime ever seen
-keeps its one or two progressions live for the rest of the run, so the
-table only grows and each step scans it once for hits.
+builds the table and never imports numpy.  The table holds one
+(prime, next index) slot per progression and nothing else.  Every odd
+prime ever seen keeps its one or two slots for the rest of the run, so
+the table only grows and each step scans it once for hits.
 
 factorizations() is that single pass, yielding one record per element;
 run_sieve() tallies P, D and checkpoint rows over it, and the oracle
@@ -47,13 +48,13 @@ class SieveError(RuntimeError):
     family's structure guarantees."""
 
 
-@dataclass
-class RegisteredPrime:
-    """Live progression data for one discovered odd prime.
+class RegisteredPrime(NamedTuple):
+    """What register_prime opened for one odd prime, returned to the
+    caller and kept by no one.
 
     residues lists the one or two index classes mod p whose elements p
-    divides; next_hits gives, per residue, the next index at which the
-    sieve will divide by p.
+    divides; next_hits gives, per residue, the first index past the
+    discovery and the head at which the sieve divides by p.
     """
 
     p: int
@@ -109,13 +110,13 @@ def atkin_primes(limit: int) -> list[int]:
 
 
 class SieveState:
-    """Mutable progression table for one run past the head.
+    """Progression table for one run past the head.
 
-    Next-hit indices live in a flat int64 array so one vectorized
-    comparison per element finds all due progressions; the parallel
-    owner list maps array slots back to their registered primes.  The
-    table is the one user of numpy, which it imports when it is built,
-    so runs that end inside the head never load it.
+    Slot i is one progression: the prime _prime[i] and the next index
+    _next[i] it divides.  The two parallel int64 arrays grow together
+    by doubling, and one vectorized comparison per element finds every
+    due slot.  The table is the one user of numpy, which it imports
+    when it is built, so runs that end inside the head never load it.
     """
 
     def __init__(self, params: EcParams, j_max: int):
@@ -123,9 +124,10 @@ class SieveState:
 
         self.params = params
         self.j_max = j_max
-        self.registered: dict[int, RegisteredPrime] = {}
+        self._registered: set[int] = set()
         self._next = np.empty(_GROW, dtype=np.int64)
-        self._owner: list[tuple[RegisteredPrime, int]] = []
+        self._prime = np.empty(_GROW, dtype=np.int64)
+        self._size = 0
 
     def register_prime(self, p: int, j_found: int) -> RegisteredPrime:
         """Open the index progressions of a newly seen odd prime.
@@ -134,29 +136,33 @@ class SieveState:
         starts strictly past both the discovery index and the head, so
         nothing already factored is revisited.
         """
-        if p in self.registered:
+        if p in self._registered:
             raise ValueError(f"prime {p} is already registered")
+        self._registered.add(p)
         r1 = j_found % p
         r2 = (p - self.params.r - j_found) % p
         residues = (r1,) if r1 == r2 else tuple(sorted((r1, r2)))
         start = max(j_found, self.params.j_threshold) + 1
         next_hits = [start + (rho - start) % p for rho in residues]
-        rec = RegisteredPrime(p=p, residues=residues, next_hits=next_hits)
-        self.registered[p] = rec
-        for slot, nh in enumerate(next_hits):
-            i = len(self._owner)
-            if i == len(self._next):
-                import numpy as np
+        i, end = self._size, self._size + len(next_hits)
+        if end > len(self._next):
+            import numpy as np
 
-                grown = np.empty(2 * len(self._next), dtype=np.int64)
-                grown[:i] = self._next
-                self._next = grown
-            self._next[i] = nh
-            self._owner.append((rec, slot))
-        return rec
+            self._next, self._prime = [
+                np.concatenate((a, np.empty_like(a))) for a in (self._next, self._prime)
+            ]
+        self._next[i:end] = next_hits
+        self._prime[i:end] = p
+        self._size = end
+        return RegisteredPrime(p, residues, next_hits)
 
-    def _due_slots(self, j: int):
-        return (self._next[: len(self._owner)] == j).nonzero()[0]
+    def pop_due(self, j: int) -> list[int]:
+        """The primes of the slots due at index j, in slot order; each of
+        those slots moves on to its next hit."""
+        due = (self._next[: self._size] == j).nonzero()[0]
+        primes = self._prime[due]
+        self._next[due] += primes
+        return primes.tolist()
 
 
 def _crosscheck_pairs(params: EcParams) -> None:
@@ -226,6 +232,25 @@ def factorizations(
     return _factor_pass(params, j_max, verify)
 
 
+def _divide_out(
+    j: int, n: int, primes: Iterable[int], source: str
+) -> tuple[list[tuple[int, int]], int]:
+    """Divide n, the element at index j, by each of primes to its full
+    power; return those factors in order and the cofactor left.  A prime
+    that does not divide n raises SieveError naming its source."""
+    factors = []
+    rem = n
+    for p in primes:
+        e = 0
+        while rem % p == 0:
+            rem //= p
+            e += 1
+        if e == 0:
+            raise SieveError(f"index {j}: {source} {p} but {p} does not divide {n}")
+        factors.append((p, e))
+    return factors, rem
+
+
 def _factor_pass(
     params: EcParams, j_max: int, verify: bool
 ) -> Iterator[FactorizationRecord]:
@@ -255,19 +280,7 @@ def _factor_pass(
         for j, marked in enumerate(marks, lo):
             x = 2 * j + r
             n = x * x + c
-            factors: list[tuple[int, int]] = []
-            rem = n
-            for p in marked:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                if e == 0:
-                    raise SieveError(
-                        f"index {j}: the head sieve marked {p} "
-                        f"but {p} does not divide {n}"
-                    )
-                factors.append((p, e))
+            factors, rem = _divide_out(j, n, marked, "the head sieve marked")
             if rem > 1:
                 # every prime up to limit >= sqrt(n) has been divided out
                 if rem <= limit:
@@ -293,23 +306,7 @@ def _factor_pass(
     for j in range(head_end + 1, j_max + 1):
         x = 2 * j + r
         n = x * x + c
-        factors = []
-        rem = n
-        for i in state._due_slots(j):
-            rec, slot = state._owner[i]
-            p = rec.p
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            if e == 0:
-                raise SieveError(
-                    f"index {j}: progression for {p} predicted a hit "
-                    f"but {p} does not divide {n}"
-                )
-            factors.append((p, e))
-            state._next[i] += p
-            rec.next_hits[slot] = int(state._next[i])
+        factors, rem = _divide_out(j, n, state.pop_due(j), "the schedule predicted")
         if rem > 1:
             # A prime p < X dividing N_j also divides an earlier
             # element, at index j mod p or at the dual index

@@ -99,11 +99,14 @@ def test_run_usage_and_range_errors(capsys):
     assert run_cli("run", "--c", "0", "--J", "5") == 2
     assert run_cli("run", "--c", "1", "--J", "-5") == 2
     assert run_cli("run", "--c", "1", "--J", "10", "--checkpoints", "11") == 2
+    for names_no_index in (",", " , ", ""):
+        assert run_cli("run", "--c", "1", "--J", "10", "--checkpoints", names_no_index) == 2
     assert run_cli("run", "--c", "1") == 2
     assert run_cli("run", "--c", "1", "--J", "10", "--format", "xml") == 2
     assert run_cli("bogus") == 2
     assert run_cli() == 2
-    capsys.readouterr()
+    # each of them fails before the CSV header
+    assert capsys.readouterr().out == ""
 
 
 def test_run_overflowing_range(capsys):
@@ -234,6 +237,8 @@ def test_run_config_validation():
         RunConfig(c=1, j_max=10, checkpoints=(5, 11))
     with pytest.raises(ValueError):
         RunConfig(c=0, j_max=10, checkpoints=(5,))
+    with pytest.raises(ValueError, match="at least one index"):
+        RunConfig(c=1, j_max=10, checkpoints=())
     config = RunConfig(c=1, j_max=10, checkpoints=(5, 10))
     assert config.fmt == "csv"
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quadsieve import (
@@ -100,6 +102,40 @@ def test_register_prime_rejects_duplicate():
     st.register_prime(5, 1)
     with pytest.raises(ValueError):
         st.register_prime(5, 6)
+
+
+def test_pop_due_matches_brute_force_across_a_growth():
+    # c = 4 has r = 1, so the dual index p - 1 - j differs from j; the
+    # 1200 primes open more than 2 * _GROW slots, so both arrays double
+    params = make_params(4)
+    rng = random.Random(17)
+    primes = [p for p in atkin_primes(30000)[1:] if sieve._index_classes(params, p, 1)]
+    primes = primes[:1200]
+    rng.shuffle(primes)
+    bound = 3 * max(primes)
+    st = SieveState(params, bound)
+    slots = []
+    for p in primes:
+        classes = sieve._index_classes(params, p, 1)[1]
+        j_found = rng.choice(classes) + p * rng.randrange(3)
+        rec = st.register_prime(p, j_found)
+        assert rec.residues == classes
+        for rho, first in zip(rec.residues, rec.next_hits):
+            # the first hit is the class's first index past the discovery
+            assert first % p == rho and j_found < first <= j_found + p
+            slots.append((p, first))
+    assert len(slots) > 2 * sieve._GROW
+    assert len(st._next) == len(st._prime) >= len(slots)
+    expected = {j: [] for j in range(bound + 1)}
+    for p, first in slots:
+        for j in range(first, bound + 1, p):
+            expected[j].append(p)
+    popped = {j: st.pop_due(j) for j in range(bound + 1)}
+    assert popped == expected
+    for j, due in popped.items():
+        for p in due:
+            if j + p <= bound:
+                assert p in popped[j + p]
 
 
 def test_one_new_prime_at_a_time_past_threshold():
