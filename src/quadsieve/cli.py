@@ -17,7 +17,6 @@ import json
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from .core import make_params
 from .oracle import compare
@@ -31,26 +30,6 @@ from .uz import (
 )
 
 _RANGE = re.compile(r"^-?\d+\.\.-?\d+$")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one sieve run."""
-
-    c: int
-    j_max: int
-    checkpoints: tuple[int, ...]
-    fmt: str = "csv"
-    factorization_path: str | None = None
-    stats_path: str | None = None
-    verify: bool = False
-
-    def __post_init__(self):
-        if not self.checkpoints:
-            raise ValueError("checkpoints must name at least one index")
-        if list(self.checkpoints) != sorted(set(self.checkpoints)):
-            raise ValueError("checkpoints must be strictly ascending")
-        validate_run(make_params(self.c), self.j_max, self.checkpoints)
 
 
 def render_factors(factors) -> str:
@@ -167,37 +146,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _execute_run(config: RunConfig) -> int:
-    params = make_params(config.c)
-    path = config.factorization_path
+def _cmd_run(args) -> int:
+    if args.checkpoints is None:
+        marks = [args.j_max]
+    else:
+        marks = sorted({int(tok) for tok in args.checkpoints.split(",") if tok.strip()})
+        if not marks:
+            raise ValueError("checkpoints must name at least one index")
+    params = make_params(args.c)
+    # checked before any output file is opened, so a rejected run writes none
+    validate_run(params, args.j_max, marks)
+    path = args.factorizations
     with open(path, "w") if path else nullcontext() as fh:
         if fh:
             fh.write("j,X,N,factorization\n")
         row = lambda rec: fh.write(f"{_render_record(rec)}\n")
         out = run_sieve(
-            params,
-            config.j_max,
-            config.checkpoints,
-            on_record=row if fh else None,
-            verify=config.verify,
+            params, args.j_max, marks, on_record=row if fh else None, verify=args.verify
         )
     rows = [
         (cp.j, cp.p_count, cp.d_count, f"{cp.elapsed_seconds:.3f}")
         for cp in out.checkpoints
     ]
-    if config.fmt == "csv":
+    if args.format == "csv":
         text = "J,P_count,D_count,elapsed_seconds\n"
         text += "".join(f"{j},{p},{d},{t}\n" for j, p, d, t in rows)
     else:
         keys = ("J", "p_count", "d_count", "elapsed_seconds")
         dicts = [dict(zip(keys, (j, p, d, float(t)))) for j, p, d, t in rows]
         text = json.dumps(dicts, indent=2) + "\n"
-    if config.stats_path:
-        with open(config.stats_path, "w") as fh:
+    if args.stats:
+        with open(args.stats, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if path and config.verify:
+    if path and args.verify:
         _audit_factorization_file(path)
     return 0
 
@@ -217,25 +200,6 @@ def _audit_factorization_file(path: str) -> None:
                 raise SieveError(
                     f"factorization row for index {j} does not multiply back to {n}"
                 )
-
-
-def _cmd_run(args) -> int:
-    if args.checkpoints is not None:
-        marks = tuple(
-            sorted({int(tok) for tok in args.checkpoints.split(",") if tok.strip()})
-        )
-    else:
-        marks = (args.j_max,)
-    config = RunConfig(
-        c=args.c,
-        j_max=args.j_max,
-        checkpoints=marks,
-        fmt=args.format,
-        factorization_path=args.factorizations,
-        stats_path=args.stats,
-        verify=args.verify,
-    )
-    return _execute_run(config)
 
 
 def _cmd_verify(args) -> int:

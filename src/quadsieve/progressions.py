@@ -268,9 +268,11 @@ def sequence_exists(params: EcParams, a_divisor: int, hit: FirstHit) -> bool:
     return hit.x0 % g == 0
 
 
-def _check_odd_prime(p: int) -> None:
+def _check_prime_power(p: int, power_exp: int) -> None:
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
+    if power_exp < 1:
+        raise ValueError(f"exponent must be >= 1, got {power_exp}")
 
 
 def dual_for_prime(params: EcParams, p: int) -> DualProgression | None:
@@ -289,9 +291,7 @@ def dual_for_prime_power(params: EcParams, p: int, power_exp: int) -> DualProgre
     p**(power_exp - nu/2) in between, where nu is the (even) valuation
     of c at p.
     """
-    _check_odd_prime(p)
-    if power_exp < 1:
-        raise ValueError(f"exponent must be >= 1, got {power_exp}")
+    _check_prime_power(p, power_exp)
     if p**power_exp > INT63_MAX:
         raise OverflowError(f"modulus {p}**{power_exp} exceeds the 63-bit range")
     classes = _index_classes(params, p, power_exp)
@@ -304,9 +304,7 @@ def dual_for_prime_power(params: EcParams, p: int, power_exp: int) -> DualProgre
 def power_plan(params: EcParams, p: int, power_exp: int) -> PowerPlan | None:
     """Valuation summary for p**power_exp, or None when it divides no
     element of E_c."""
-    _check_odd_prime(p)
-    if power_exp < 1:
-        raise ValueError(f"exponent must be >= 1, got {power_exp}")
+    _check_prime_power(p, power_exp)
     hit = first_occurrence(params, p**power_exp)
     if hit is None:
         return None
@@ -333,9 +331,7 @@ def lift_solutions(params: EcParams, p: int, power_exp: int,
     counts k solving a linear congruence mod p; the returned residues
     identify them (None for an unsolvable branch).
     """
-    _check_odd_prime(p)
-    if power_exp < 1:
-        raise ValueError(f"exponent must be >= 1, got {power_exp}")
+    _check_prime_power(p, power_exp)
     a = p**power_exp
     if hit.modulus_a != a:
         raise ValueError(f"hit describes modulus {hit.modulus_a}, expected {a}")

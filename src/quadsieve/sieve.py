@@ -10,14 +10,15 @@ marked primes, to their full powers, which leaves 1 or one prime.
 Past the threshold each element is divided by exactly those registered
 primes whose index progressions predict a hit at the current index;
 the remaining cofactor is then 1 or a single new prime to the first
-power, which gets registered in turn.  The progression table is built
-only when a run goes past the head: the head notes the index at which
-it first saw each prime, and those primes are registered in that
-order at the hand-off, so a run that ends inside the head never
-builds the table and never imports numpy.  The table holds one
-(prime, next index) slot per progression and nothing else.  Every odd
-prime ever seen keeps its one or two slots for the rest of the run, so
-the table only grows and each step scans it once for hits.
+power, which gets registered in turn.  Both phases divide through one
+factor step, _factor, and differ only in the bound a cofactor must
+exceed.  The progression table is built only when a run goes past the
+head: the head notes the index at which it first saw each prime and the
+table registers those primes in that order, so a run that ends inside
+the head never builds the table and never imports numpy.  The table
+holds one (prime, next index) slot per progression and nothing else.
+Every odd prime ever seen keeps its one or two slots for the rest of
+the run, and each step scans them once for hits.
 
 factorizations() is that single pass, yielding one record per element;
 run_sieve() tallies P, D and checkpoint rows over it, and the oracle
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
@@ -37,7 +38,6 @@ from .core import EcParams, element_at, is_prime, isqrt_floor
 from .progressions import _index_classes
 from .uz import special_pair_one, special_pair_two
 
-_GROW = 1024
 # Head indices sieved at a time; the marks of one segment are all the
 # head keeps in memory.
 _HEAD_SEGMENT = 1 << 13
@@ -113,21 +113,28 @@ class SieveState:
     """Progression table for one run past the head.
 
     Slot i is one progression: the prime _prime[i] and the next index
-    _next[i] it divides.  The two parallel int64 arrays grow together
-    by doubling, and one vectorized comparison per element finds every
-    due slot.  The table is the one user of numpy, which it imports
-    when it is built, so runs that end inside the head never load it.
+    _next[i] it divides.  head_primes maps each prime the head divided
+    out to the index where it first did so; they are registered in that
+    order.  Each registered prime opens at most two slots, and each
+    index past the head at most one new prime, so two parallel int64
+    arrays of 2 * (len(head_primes) + j_max - threshold) slots hold
+    them all.  One vectorized comparison per element finds every due slot.
+    The table is the one user of numpy, which it imports when it is
+    built, so runs that end inside the head never load it.
     """
 
-    def __init__(self, params: EcParams, j_max: int):
+    def __init__(self, params: EcParams, j_max: int, head_primes: Mapping[int, int]):
         import numpy as np
 
         self.params = params
         self.j_max = j_max
         self._registered: set[int] = set()
-        self._next = np.empty(_GROW, dtype=np.int64)
-        self._prime = np.empty(_GROW, dtype=np.int64)
+        slots = 2 * (len(head_primes) + j_max - params.j_threshold)
+        self._next = np.empty(slots, dtype=np.int64)
+        self._prime = np.empty(slots, dtype=np.int64)
         self._size = 0
+        for p, j in head_primes.items():
+            self.register_prime(p, j)
 
     def register_prime(self, p: int, j_found: int) -> RegisteredPrime:
         """Open the index progressions of a newly seen odd prime.
@@ -145,12 +152,6 @@ class SieveState:
         start = max(j_found, self.params.j_threshold) + 1
         next_hits = [start + (rho - start) % p for rho in residues]
         i, end = self._size, self._size + len(next_hits)
-        if end > len(self._next):
-            import numpy as np
-
-            self._next, self._prime = [
-                np.concatenate((a, np.empty_like(a))) for a in (self._next, self._prime)
-            ]
         self._next[i:end] = next_hits
         self._prime[i:end] = p
         self._size = end
@@ -232,22 +233,38 @@ def factorizations(
     return _factor_pass(params, j_max, verify)
 
 
-def _divide_out(
-    j: int, n: int, primes: Iterable[int], source: str
+def _factor(
+    j: int, n: int, due: Iterable[int], bound: int, verify: bool
 ) -> tuple[list[tuple[int, int]], int]:
-    """Divide n, the element at index j, by each of primes to its full
-    power; return those factors in order and the cofactor left.  A prime
-    that does not divide n raises SieveError naming its source."""
+    """Divide n, the element at index j, by each due prime to its full
+    power; return the factors ascending, the cofactor left included, and
+    that cofactor.
+
+    Every prime up to bound that divides n must be due, so the cofactor
+    is 1 or a prime above bound.  A due prime that does not divide n, a
+    cofactor > 1 at most bound and, with verify on, a cofactor that is
+    not prime each raise SieveError.
+    """
     factors = []
     rem = n
-    for p in primes:
+    for p in due:
         e = 0
         while rem % p == 0:
             rem //= p
             e += 1
         if e == 0:
-            raise SieveError(f"index {j}: {source} {p} but {p} does not divide {n}")
+            raise SieveError(f"index {j}: prime {p} was due but does not divide {n}")
         factors.append((p, e))
+    if rem > 1:
+        if rem <= bound:
+            raise SieveError(
+                f"index {j}: cofactor {rem} of {n} is at most {bound}, "
+                "so a due prime was missed"
+            )
+        if verify and not is_prime(rem):
+            raise SieveError(f"index {j}: cofactor {rem} of {n} is not prime")
+        factors.append((rem, 1))
+    factors.sort()
     return factors, rem
 
 
@@ -280,51 +297,24 @@ def _factor_pass(
         for j, marked in enumerate(marks, lo):
             x = 2 * j + r
             n = x * x + c
-            factors, rem = _divide_out(j, n, marked, "the head sieve marked")
-            if rem > 1:
-                # every prime up to limit >= sqrt(n) has been divided out
-                if rem <= limit:
-                    raise SieveError(
-                        f"index {j}: cofactor {rem} of {n} is at most "
-                        f"{limit}, so a root class was missed"
-                    )
-                if verify and not is_prime(rem):
-                    raise SieveError(
-                        f"index {j}: head cofactor {rem} of {n} is not prime"
-                    )
-                factors.append((rem, 1))
+            # every prime up to limit >= sqrt(n) is marked
+            factors, _ = _factor(j, n, marked, limit, verify)
             for p, _ in factors:
                 first_seen.setdefault(p, j)
             yield FactorizationRecord(j, x, n, tuple(factors))
     if j_max == head_end:
         return
-    # the hand-off: the head's primes open their progressions in the
-    # order it first saw them
-    state = SieveState(params, j_max)
-    for p, j in first_seen.items():
-        state.register_prime(p, j)
+    # the hand-off: the head's primes open their progressions
+    state = SieveState(params, j_max, first_seen)
     for j in range(head_end + 1, j_max + 1):
         x = 2 * j + r
         n = x * x + c
-        factors, rem = _divide_out(j, n, state.pop_due(j), "the schedule predicted")
+        # A prime p < X dividing N_j also divides an earlier element, at
+        # index j mod p or at the dual index p - r - j, so it is due;
+        # p == X can only hold when X divides c.
+        factors, rem = _factor(j, n, state.pop_due(j), x - 1, verify)
         if rem > 1:
-            # A prime p < X dividing N_j also divides an earlier
-            # element, at index j mod p or at the dual index
-            # p - r - j, so it is registered already; p == X can only
-            # hold when X divides c.
-            if rem < x:
-                raise SieveError(
-                    f"index {j}: cofactor {rem} of {n} lies below "
-                    f"X = {x}, so a due progression was missed"
-                )
-            if verify and not is_prime(rem):
-                raise SieveError(
-                    f"index {j}: cofactor {rem} left after all predicted "
-                    f"divisors of {n} is neither 1 nor prime"
-                )
-            factors.append((rem, 1))
             state.register_prime(rem, j)
-        factors.sort()
         yield FactorizationRecord(j, x, n, tuple(factors))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import quadsieve
 from quadsieve import cli, oracle
-from quadsieve.cli import RunConfig, main, render_factors
+from quadsieve.cli import main, render_factors
 
 
 def run_cli(*argv):
@@ -230,17 +230,20 @@ def test_uz_demo_bad_range(capsys):
     capsys.readouterr()
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(c=1, j_max=10, checkpoints=(5, 3))
-    with pytest.raises(ValueError):
-        RunConfig(c=1, j_max=10, checkpoints=(5, 11))
-    with pytest.raises(ValueError):
-        RunConfig(c=0, j_max=10, checkpoints=(5,))
-    with pytest.raises(ValueError, match="at least one index"):
-        RunConfig(c=1, j_max=10, checkpoints=())
-    config = RunConfig(c=1, j_max=10, checkpoints=(5, 10))
-    assert config.fmt == "csv"
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("--J", "10", "--checkpoints", "11"),
+        ("--J", "-5"),
+        ("--J", "10", "--checkpoints", ","),
+        ("--J", "4294967296"),
+    ],
+)
+def test_rejected_run_writes_no_file(tmp_path, capsys, bad):
+    path = tmp_path / "rows.csv"
+    assert run_cli("run", "--c", "1", "--factorizations", str(path), *bad) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not path.exists()
 
 
 NUMPY_PROBE = """

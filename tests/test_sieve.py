@@ -80,17 +80,17 @@ def test_records_round_trip():
 
 
 def test_register_prime_examples():
-    st = SieveState(make_params(1), 100)
+    st = SieveState(make_params(1), 100, {})
     rec = st.register_prime(5, 1)
     assert rec.residues == (1, 4)
-    st = SieveState(make_params(5), 100)
+    st = SieveState(make_params(5), 100, {})
     assert st.register_prime(5, 0).residues == (0,)
-    st = SieveState(make_params(4), 100)
+    st = SieveState(make_params(4), 100, {})
     assert st.register_prime(5, 0).residues == (0, 4)
 
 
 def test_register_prime_schedules_past_discovery():
-    st = SieveState(make_params(1), 100)
+    st = SieveState(make_params(1), 100, {})
     rec = st.register_prime(5, 1)
     assert rec.next_hits == [6, 4]
     for rho, nh in zip(rec.residues, rec.next_hits):
@@ -98,22 +98,21 @@ def test_register_prime_schedules_past_discovery():
 
 
 def test_register_prime_rejects_duplicate():
-    st = SieveState(make_params(1), 100)
+    st = SieveState(make_params(1), 100, {})
     st.register_prime(5, 1)
     with pytest.raises(ValueError):
         st.register_prime(5, 6)
 
 
-def test_pop_due_matches_brute_force_across_a_growth():
-    # c = 4 has r = 1, so the dual index p - 1 - j differs from j; the
-    # 1200 primes open more than 2 * _GROW slots, so both arrays double
+def test_pop_due_matches_brute_force():
+    # c = 4 has r = 1, so the dual index p - 1 - j differs from j
     params = make_params(4)
     rng = random.Random(17)
     primes = [p for p in atkin_primes(30000)[1:] if sieve._index_classes(params, p, 1)]
     primes = primes[:1200]
     rng.shuffle(primes)
     bound = 3 * max(primes)
-    st = SieveState(params, bound)
+    st = SieveState(params, bound, {})
     slots = []
     for p in primes:
         classes = sieve._index_classes(params, p, 1)[1]
@@ -124,8 +123,6 @@ def test_pop_due_matches_brute_force_across_a_growth():
             # the first hit is the class's first index past the discovery
             assert first % p == rho and j_found < first <= j_found + p
             slots.append((p, first))
-    assert len(slots) > 2 * sieve._GROW
-    assert len(st._next) == len(st._prime) >= len(slots)
     expected = {j: [] for j in range(bound + 1)}
     for p, first in slots:
         for j in range(first, bound + 1, p):
@@ -233,7 +230,7 @@ def test_missed_progression_fails_a_plain_run(monkeypatch):
         return None if p == 5 else register(self, p, j_found)
 
     monkeypatch.setattr(SieveState, "register_prime", drop_five)
-    with pytest.raises(SieveError, match="index 19: cofactor 5 .* below X = 38"):
+    with pytest.raises(SieveError, match="index 19: cofactor 5 of 1445 is at most 37"):
         run_sieve(make_params(1), 19)
 
 
@@ -286,7 +283,7 @@ def test_head_mark_that_misses_its_element_raises(monkeypatch):
     # for c = 61 the multiples of 5 sit at j == 1, 4 (mod 5); moving the
     # second class to 0 marks 5 at N_0 = 61
     _with_classes_of_five(monkeypatch, lambda mc: (mc[0], (mc[1][0], 0)))
-    with pytest.raises(SieveError, match="index 0: the head sieve marked 5 but 5 does not divide 61"):
+    with pytest.raises(SieveError, match="index 0: prime 5 was due but does not divide 61"):
         run_sieve(make_params(61), 15)
 
 
@@ -297,7 +294,7 @@ def test_head_missed_root_class_raises(monkeypatch):
     _with_classes_of_five(monkeypatch, lambda mc: (mc[0], mc[1][:1]))
     with pytest.raises(SieveError, match="index 9: cofactor 5 of 385 is at most 31"):
         run_sieve(make_params(61), 15)
-    with pytest.raises(SieveError, match="index 4: head cofactor 125 of 125 is not prime"):
+    with pytest.raises(SieveError, match="index 4: cofactor 125 of 125 is not prime"):
         run_sieve(make_params(61), 15, verify=True)
 
 
