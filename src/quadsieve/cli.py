@@ -7,7 +7,7 @@ oracle as it is produced, and "uz-demo" prints terms of the
 factorization-generating sequence pairs together with the product
 identity check.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or range error.
+Exit codes: 0 success, 1 verification or I/O failure, 2 usage or range error.
 """
 
 from __future__ import annotations

@@ -2,23 +2,24 @@
 
 Elements are processed in index order.  Head indices, up to the
 parameter threshold, are sieved by root classes, as the quadratic sieve
-treats polynomial values: every odd prime p up to the square root of
-the last head element walks the one or two index classes on which
-X**2 == -c (mod p) and marks p at each index it lands on, a segment of
-indices at a time.  Each head element is then divided by exactly its
-marked primes, to their full powers, which leaves 1 or one prime.
-Past the threshold each element is divided by exactly those registered
-primes whose index progressions predict a hit at the current index;
-the remaining cofactor is then 1 or a single new prime to the first
-power, which gets registered in turn.  Both phases divide through one
-factor step, _factor, and differ only in the bound a cofactor must
-exceed.  The progression table is built only when a run goes past the
-head: the head notes the index at which it first saw each prime and the
-table registers those primes in that order, so a run that ends inside
-the head never builds the table and never imports numpy.  The table
-holds one (prime, next index) slot per progression and nothing else.
-Every odd prime ever seen keeps its one or two slots for the rest of
-the run, and each step scans them once for hits.
+treats polynomial values, through a calendar (O'Neill's incremental
+sieve): a dict from each index to the primes due there, seeded with the
+first index of each class on which X**2 == -c (mod p) for every odd
+prime p up to the square root of the last head element.  Each head
+element is divided by exactly its due primes, to their full powers,
+which leaves 1 or one prime.  Due primes are filed again p indices on,
+a cofactor at its next index in each class, and nothing past the run's
+last index.  A prime whose classes miss the head is divided out at its
+first hit past it instead of being found there as a new cofactor; the
+records are the same.  Past the threshold each element is divided by
+exactly the primes whose index progressions predict a hit there; the
+cofactor left is 1 or a single new prime to the first power, which gets
+registered in turn.  Both phases divide through one factor step,
+_factor, and differ only in the bound a cofactor must exceed.  The
+progression table is built only when a run goes past the head, with the
+calendar's entries as its first slots, so a run that ends inside the
+head never builds it and never imports numpy.  Its slots are (prime,
+next index) pairs, and each step scans them once for hits.
 
 factorizations() is that single pass, yielding one record per element;
 run_sieve() tallies P, D and checkpoint rows over it, and the oracle
@@ -38,11 +39,6 @@ from .core import EcParams, element_at, is_prime, isqrt_floor
 from .progressions import _index_classes
 from .uz import special_pair_one, special_pair_two
 
-# Head indices sieved at a time; the marks of one segment are all the
-# head keeps in memory.
-_HEAD_SEGMENT = 1 << 13
-
-
 class SieveError(RuntimeError):
     """A factorization step or the run's D contradicted what the
     family's structure guarantees."""
@@ -54,7 +50,7 @@ class RegisteredPrime(NamedTuple):
 
     residues lists the one or two index classes mod p whose elements p
     divides; next_hits gives, per residue, the first index past the
-    discovery and the head at which the sieve divides by p.
+    discovery at which the sieve divides by p.
     """
 
     p: int
@@ -113,35 +109,36 @@ class SieveState:
     """Progression table for one run past the head.
 
     Slot i is one progression: the prime _prime[i] and the next index
-    _next[i] it divides.  head_primes maps each prime the head divided
-    out to the index where it first did so; they are registered in that
-    order.  Each registered prime opens at most two slots, and each
-    index past the head at most one new prime, so two parallel int64
-    arrays of 2 * (len(head_primes) + j_max - threshold) slots hold
-    them all.  One vectorized comparison per element finds every due slot.
-    The table is the one user of numpy, which it imports when it is
-    built, so runs that end inside the head never load it.
+    _next[i] it divides.  due, the head's calendar, maps indices in
+    (threshold, j_max] to the primes due there; each (index, prime) pair
+    is a slot, and its primes count as registered.  A later prime opens
+    at most two slots and each index past the head brings at most one,
+    so the arrays have room for 2 * (j_max - threshold) more.  One
+    vectorized comparison per element finds every due slot.  The table
+    is the one user of numpy, which it imports when it is built, so
+    runs that end inside the head never load it.
     """
 
-    def __init__(self, params: EcParams, j_max: int, head_primes: Mapping[int, int]):
+    def __init__(self, params: EcParams, j_max: int, due: Mapping[int, list[int]]):
         import numpy as np
 
         self.params = params
         self.j_max = j_max
-        self._registered: set[int] = set()
-        slots = 2 * (len(head_primes) + j_max - params.j_threshold)
+        primes = [p for ps in due.values() for p in ps]
+        self._registered = set(primes)
+        self._size = len(primes)
+        slots = self._size + 2 * (j_max - params.j_threshold)
         self._next = np.empty(slots, dtype=np.int64)
         self._prime = np.empty(slots, dtype=np.int64)
-        self._size = 0
-        for p, j in head_primes.items():
-            self.register_prime(p, j)
+        self._next[: self._size] = [k for k, ps in due.items() for _ in ps]
+        self._prime[: self._size] = primes
 
     def register_prime(self, p: int, j_found: int) -> RegisteredPrime:
-        """Open the index progressions of a newly seen odd prime.
+        """Open the progressions of an odd prime first seen past the head.
 
         The discovery index and its dual give the residues; scheduling
-        starts strictly past both the discovery index and the head, so
-        nothing already factored is revisited.
+        starts strictly past the discovery index, so nothing already
+        factored is revisited.
         """
         if p in self._registered:
             raise ValueError(f"prime {p} is already registered")
@@ -149,7 +146,7 @@ class SieveState:
         r1 = j_found % p
         r2 = (p - self.params.r - j_found) % p
         residues = (r1,) if r1 == r2 else tuple(sorted((r1, r2)))
-        start = max(j_found, self.params.j_threshold) + 1
+        start = j_found + 1
         next_hits = [start + (rho - start) % p for rho in residues]
         i, end = self._size, self._size + len(next_hits)
         self._next[i:end] = next_hits
@@ -221,7 +218,7 @@ def factorizations(
     classes of the odd primes up to the square root of its last element,
     so each head element is divided by exactly the primes that divide
     it.  Arguments are checked when this is called, not at the first
-    record.  A marked prime that does not divide its element, a head
+    record.  A due prime that does not divide its element, a head
     cofactor at or below that square root and a progression-phase
     cofactor below X = 2j + r each raise SieveError.  With verify on,
     the sequence pairs are cross-checked up front and every cofactor is
@@ -274,38 +271,39 @@ def _factor_pass(
     c, r = params.c, params.r
     head_end = min(params.j_threshold, j_max)
     limit = isqrt_floor(element_at(params, head_end).n)
-    # one walk per root class: its prime and the next index it marks;
-    # ascending primes keep every index's marks ascending
-    walk_p: list[int] = []
-    walk_j: list[int] = []
-    # every prime the head divides out, with the index it first did so
-    first_seen: dict[int, int] = {}
+    # the calendar: each index up to j_max that a known prime divides,
+    # with the primes due there
+    due: dict[int, list[int]] = {}
     for p in atkin_primes(limit)[1:]:
         classes = _index_classes(params, p, 1)
         if classes is not None:
-            walk_p += [p] * len(classes[1])
-            walk_j += classes[1]
-    for lo in range(0, head_end + 1, _HEAD_SEGMENT):
-        hi = min(lo + _HEAD_SEGMENT, head_end + 1)
-        marks: list[list[int]] = [[] for _ in range(hi - lo)]
-        for w, p in enumerate(walk_p):
-            j = walk_j[w]
-            while j < hi:
-                marks[j - lo].append(p)
-                j += p
-            walk_j[w] = j
-        for j, marked in enumerate(marks, lo):
-            x = 2 * j + r
-            n = x * x + c
-            # every prime up to limit >= sqrt(n) is marked
-            factors, _ = _factor(j, n, marked, limit, verify)
-            for p, _ in factors:
-                first_seen.setdefault(p, j)
-            yield FactorizationRecord(j, x, n, tuple(factors))
+            for k in classes[1]:
+                if k <= j_max:
+                    due.setdefault(k, []).append(p)
+    for j in range(head_end + 1):
+        x = 2 * j + r
+        n = x * x + c
+        marked = due.pop(j, ())
+        # every prime up to limit >= sqrt(n) that divides n is due here
+        factors, rem = _factor(j, n, marked, limit, verify)
+        for p in marked:
+            k = j + p
+            if k <= j_max:
+                if k in due:
+                    due[k].append(p)
+                else:
+                    due[k] = [p]
+        if rem > 1:
+            # rem > limit >= X at head_end, so both of its classes come
+            # back past the head; they are one class when j = r = 0
+            for k in {j + rem, rem - r - j}:
+                if k <= j_max:
+                    due.setdefault(k, []).append(rem)
+        yield FactorizationRecord(j, x, n, tuple(factors))
     if j_max == head_end:
         return
-    # the hand-off: the head's primes open their progressions
-    state = SieveState(params, j_max, first_seen)
+    # the hand-off: the calendar's entries become the table's first slots
+    state = SieveState(params, j_max, due)
     for j in range(head_end + 1, j_max + 1):
         x = 2 * j + r
         n = x * x + c

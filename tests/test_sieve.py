@@ -253,11 +253,9 @@ def test_d_set_bounded_by_run_length():
     assert 13 in out.d_set
 
 
-def test_head_sieve_matches_trial_division(monkeypatch):
-    # 64-index segments make the walks of most primes cross segment
-    # boundaries; the square-heavy c and the c near 10**9 have heads
-    # longer than the range factored here
-    monkeypatch.setattr(sieve, "_HEAD_SEGMENT", 64)
+def test_head_sieve_matches_trial_division():
+    # the square-heavy c and the c near 10**9 have heads longer than the
+    # range factored here
     cases = [(c, (c - 1) // 4) for c in range(1, 301)]
     cases += [(3**12, 1000), (4 * 5**8, 1000), (7**2 * 11**2 * 13, 1000)]
     cases += [(10**9 + 7, 2000)]
@@ -321,15 +319,29 @@ def test_d_closed_form_check_names_the_first_wrong_prime(monkeypatch):
         run_sieve(params, 20)
 
 
-def test_hand_off_to_the_progression_phase_matches_trial_division():
-    # the records around J_c, where the head's primes are registered
-    # and the progression phase takes over
-    for c in (80002, 4 * 10**5 + 2, 3**12):
+def test_hand_off_to_the_progression_phase_matches_trial_division(monkeypatch):
+    # the records around J_c, where the head's calendar becomes the
+    # table and the progression phase takes over; for c = 61 the head
+    # cofactor 61 at j = 0 is its own dual and is filed once, at 61.
+    # The table receives only live slots, each past the head and due
+    # by the run's last index.
+    handed = []
+    init = SieveState.__init__
+
+    def spy(self, params, j_max, due):
+        handed.append((params.j_threshold, j_max, sorted(due)))
+        init(self, params, j_max, due)
+
+    monkeypatch.setattr(SieveState, "__init__", spy)
+    for c in (61, 80002, 4 * 10**5 + 2, 3**12):
         params = make_params(c)
         j_c = params.j_threshold
         for rec in factorizations(params, j_c + 500):
             if rec.j >= j_c - 100:
                 assert rec.factors == tuple(trial_factor(rec.n)), (c, rec.j)
+        (j_threshold, j_max, keys), = handed
+        assert keys and j_threshold < keys[0] and keys[-1] <= j_max, c
+        handed.clear()
 
 
 def test_run_inside_the_head_builds_no_schedule(monkeypatch):
