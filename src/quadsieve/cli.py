@@ -52,6 +52,13 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _checkpoint(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"checkpoints must be integers, got {text.strip()!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quadsieve",
@@ -150,7 +157,8 @@ def _cmd_run(args) -> int:
     if args.checkpoints is None:
         marks = [args.j_max]
     else:
-        marks = sorted({int(tok) for tok in args.checkpoints.split(",") if tok.strip()})
+        tokens = filter(str.strip, args.checkpoints.split(","))
+        marks = sorted(set(map(_checkpoint, tokens)))
         if not marks:
             raise ValueError("checkpoints must name at least one index")
     params = make_params(args.c)

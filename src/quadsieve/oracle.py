@@ -3,13 +3,21 @@
 Everything here factors elements directly by trial division, with no
 progression machinery involved, so a sieve run can be checked against
 results obtained the slow way; compare() walks the sieve's record
-stream alongside.  Performance is a non-goal.
+stream alongside.  trial_factor divides by the primes below 2^16 first,
+which covers every n < 2^32 with primes alone, then goes on with the
+6k +- 1 candidates from 65537.  The prime table comes from the oracle's
+own sieve of Eratosthenes, built on the first call: not from
+sieve.atkin_primes, whose primes also seed the sieve's head, so a prime
+missing there cannot hide from both the sieve and its oracle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress
+from math import isqrt
 
 from .core import EcParams, element_at
 from .sieve import factorizations
@@ -27,31 +35,62 @@ class OracleReport:
     first_divergence: tuple | None
 
 
+_TABLE_LIMIT = 1 << 16
+
+
+@cache
+def _small_primes() -> tuple[int, ...]:
+    """The primes below _TABLE_LIMIT, ascending."""
+    flags = bytearray([1]) * _TABLE_LIMIT
+    flags[0] = flags[1] = 0
+    for p in range(2, isqrt(_TABLE_LIMIT - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, _TABLE_LIMIT, p)))
+    return tuple(compress(range(_TABLE_LIMIT), flags))
+
+
 def trial_factor(n: int) -> list[tuple[int, int]]:
-    """Prime-power factorization of n >= 1 by trial division, ascending."""
+    """Prime-power factorization of n >= 1 by trial division, ascending.
+
+    Divides by each prime below 2^16 in turn, then by the 6k +- 1
+    candidates from 65537, stopping once the candidate's square passes
+    what is left of n; a remainder above 1 is then prime.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out = []
-    for p in (2, 3):
+    root = isqrt(n)
+    for p in _small_primes():
+        if p > root:
+            break
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+            n, e = _divide_out(n, p)
             out.append((p, e))
-    p = 5
-    while p * p <= n:
-        for q in (p, p + 2):
-            if n % q == 0:
-                e = 0
-                while n % q == 0:
-                    n //= q
-                    e += 1
-                out.append((q, e))
-        p += 6
+            root = isqrt(n)
+    else:
+        # 65537 = 6 * 10922 + 5, so the wheel goes on where the table
+        # ends: 65522..65536 are all composite
+        p = _TABLE_LIMIT + 1
+        while p <= root:
+            if n % p == 0 or n % (p + 2) == 0:
+                for q in (p, p + 2):
+                    if n % q == 0:
+                        n, e = _divide_out(n, q)
+                        out.append((q, e))
+                root = isqrt(n)
+            p += 6
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def _divide_out(n: int, p: int) -> tuple[int, int]:
+    """n with every factor p removed, and the number removed."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
 
 
 def brute_sets(params: EcParams, j_max: int) -> tuple[list[int], list[int]]:

@@ -101,12 +101,15 @@ def test_run_usage_and_range_errors(capsys):
     assert run_cli("run", "--c", "1", "--J", "10", "--checkpoints", "11") == 2
     for names_no_index in (",", " , ", ""):
         assert run_cli("run", "--c", "1", "--J", "10", "--checkpoints", names_no_index) == 2
+    assert run_cli("run", "--c", "1", "--J", "5", "--checkpoints", "5,a") == 2
     assert run_cli("run", "--c", "1") == 2
     assert run_cli("run", "--c", "1", "--J", "10", "--format", "xml") == 2
     assert run_cli("bogus") == 2
     assert run_cli() == 2
     # each of them fails before the CSV header
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: checkpoints must be integers, got 'a'\n" in captured.err
 
 
 def test_run_overflowing_range(capsys):

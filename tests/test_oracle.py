@@ -1,6 +1,65 @@
+import ast
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from quadsieve import brute_sets, compare, element_at, make_params, oracle, trial_factor
+import quadsieve
+from quadsieve import (
+    atkin_primes,
+    brute_sets,
+    compare,
+    element_at,
+    is_prime,
+    make_params,
+    oracle,
+    trial_factor,
+)
+
+# primes on either side of 2^16, where the oracle's prime table ends, and
+# 2^32, the bound below which the table alone suffices
+TABLE_EDGE_CASES = (
+    65521**2,
+    65521 * 65537,
+    65537**2,
+    65537 * 65539,
+    3 * 65537**2,
+    2**32,
+    2**32 + 1,
+)
+
+
+def wheel_factor(n):
+    """Reference factorizer: trial division by 2, 3 and every 6k +- 1."""
+    out = []
+    for p in (2, 3):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    p = 5
+    while p * p <= n:
+        for q in (p, p + 2):
+            if n % q == 0:
+                e = 0
+                while n % q == 0:
+                    n //= q
+                    e += 1
+                out.append((q, e))
+        p += 6
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def seeded_grid(count, seed=23):
+    rng = random.Random(seed)
+    return [rng.randrange(1, 2**40) for _ in range(count)]
 
 
 def test_trial_factor_examples():
@@ -19,14 +78,61 @@ def test_trial_factor_rejects_non_positive():
 
 
 def test_trial_factor_round_trip():
-    for n in range(1, 2000):
+    for n in (*range(1, 2000), *TABLE_EDGE_CASES, *seeded_grid(200)):
         prod = 1
         prev = 1
         for p, e in trial_factor(n):
-            assert p > prev
+            assert p > prev and e >= 1
+            assert is_prime(p)
             prev = p
             prod *= p**e
         assert prod == n
+
+
+def test_trial_factor_matches_wheel():
+    for n in (*range(1, 200_000), *seeded_grid(2000), *TABLE_EDGE_CASES):
+        assert trial_factor(n) == wheel_factor(n), n
+
+
+def test_trial_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in (*range(1, 3000), *seeded_grid(500, seed=7), *TABLE_EDGE_CASES):
+        assert trial_factor(n) == sorted(sympy.factorint(n).items()), n
+
+
+def test_prime_table_is_the_oracles_own():
+    assert list(oracle._small_primes()) == atkin_primes(2**16 - 1)
+    assert not hasattr(oracle, "atkin_primes")
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "atkin_primes" not in imported
+
+
+TABLE_PROBE = """
+import quadsieve.cli
+from quadsieve import oracle
+print(oracle._small_primes.cache_info().currsize)
+oracle.trial_factor(10)
+print(oracle._small_primes.cache_info().currsize)
+"""
+
+
+def test_importing_the_cli_builds_no_prime_table():
+    src = str(Path(quadsieve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", TABLE_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["0", "1"]
 
 
 def test_brute_sets_examples():
@@ -39,7 +145,7 @@ def test_brute_sets_examples():
 
 def test_compare_matches_sieve():
     for c in (1, 61, 4):
-        report = compare(make_params(c), 2000)
+        report = compare(make_params(c), 10_000)
         assert report.matched
         assert report.first_divergence is None
 
