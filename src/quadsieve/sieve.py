@@ -111,9 +111,13 @@ class SieveState:
     Slot i is one progression: the prime _prime[i] and the next index
     _next[i] it divides.  due, the head's calendar, maps indices in
     (threshold, j_max] to the primes due there; each (index, prime) pair
-    is a slot, and its primes count as registered.  A later prime opens
-    at most two slots and each index past the head brings at most one,
-    so the arrays have room for 2 * (j_max - threshold) more.  One
+    is a slot.  A later prime opens at most two slots and each index
+    past the head brings at most one, so the arrays have room for
+    2 * (j_max - threshold) more.  The table keeps no set of its primes:
+    a prime registered at index j is at least X = 2j + r, and an odd
+    prime p >= X that divides N_j divides no earlier element, since
+    p | N_j - N_i = 4(j - i)(i + j + r) with both factors below p, so
+    it is neither a calendar prime nor an earlier registration.  One
     vectorized comparison per element finds every due slot.  The table
     is the one user of numpy, which it imports when it is built, so
     runs that end inside the head never load it.
@@ -125,7 +129,6 @@ class SieveState:
         self.params = params
         self.j_max = j_max
         primes = [p for ps in due.values() for p in ps]
-        self._registered = set(primes)
         self._size = len(primes)
         slots = self._size + 2 * (j_max - params.j_threshold)
         self._next = np.empty(slots, dtype=np.int64)
@@ -138,11 +141,10 @@ class SieveState:
 
         The discovery index and its dual give the residues; scheduling
         starts strictly past the discovery index, so nothing already
-        factored is revisited.
+        factored is revisited.  The caller passes a prime seen for the
+        first time, which the table does not check: a prime registered
+        twice opens its slots twice.
         """
-        if p in self._registered:
-            raise ValueError(f"prime {p} is already registered")
-        self._registered.add(p)
         r1 = j_found % p
         r2 = (p - self.params.r - j_found) % p
         residues = (r1,) if r1 == r2 else tuple(sorted((r1, r2)))
@@ -312,6 +314,11 @@ def _factor_pass(
         # p == X can only hold when X divides c.
         factors, rem = _factor(j, n, state.pop_due(j), x - 1, verify)
         if rem > 1:
+            # A first sighting: _factor has checked that rem >= X, so a
+            # prime rem divides no earlier element (see SieveState) and
+            # is neither a calendar prime nor an earlier registration.
+            # A composite rem is what verify's is_prime rejects, at its
+            # own index.
             state.register_prime(rem, j)
         yield FactorizationRecord(j, x, n, tuple(factors))
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from quadsieve import (
     SieveState,
     atkin_primes,
     brute_sets,
+    element_at,
     factorizations,
     make_params,
     run_sieve,
@@ -97,11 +99,55 @@ def test_register_prime_schedules_past_discovery():
         assert nh > 1 and nh % 5 == rho
 
 
-def test_register_prime_rejects_duplicate():
-    st = SieveState(make_params(1), 100, {})
-    st.register_prime(5, 1)
-    with pytest.raises(ValueError):
-        st.register_prime(5, 6)
+def test_every_registration_is_a_first_sighting(monkeypatch):
+    # the table keeps no set of its primes: each prime registered at
+    # index j is at least X = 2j + r, so it divides no earlier element
+    # and is neither a calendar prime nor an earlier registration
+    calendar, registered = set(), []
+    init, register = SieveState.__init__, SieveState.register_prime
+
+    def spy_init(self, params, j_max, due):
+        calendar.update(p for ps in due.values() for p in ps)
+        init(self, params, j_max, due)
+
+    def spy_register(self, p, j_found):
+        registered.append((p, j_found))
+        return register(self, p, j_found)
+
+    monkeypatch.setattr(SieveState, "__init__", spy_init)
+    monkeypatch.setattr(SieveState, "register_prime", spy_register)
+    cases = [(c, make_params(c).j_threshold + 40) for c in range(1, 200)]
+    cases += [(c, 3000) for c in (1, 4, 61)]
+    for c, j_max in cases:
+        params = make_params(c)
+        list(factorizations(params, j_max))
+        primes = [p for p, _ in registered]
+        assert registered and len(set(primes)) == len(primes), c
+        assert calendar.isdisjoint(primes), c
+        for p, j in registered:
+            assert p >= 2 * j + params.r, (c, p, j)
+            if j_max <= 300:
+                earlier = (element_at(params, i).n for i in range(j))
+                assert all(n % p for n in earlier), (c, p, j)
+        calendar.clear()
+        registered.clear()
+
+
+def test_registration_keeps_no_python_objects():
+    # a registration writes its slots into the arrays and nothing else:
+    # a set of registered primes would grow the heap by about 100 B each
+    st = SieveState(make_params(1), 50000, {})
+    primes = atkin_primes(300000)[1:20001]
+    assert len(primes) == 20000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for j, p in enumerate(primes, 1):
+            st.register_prime(p, j)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < len(primes), grown
 
 
 def test_pop_due_matches_brute_force():
@@ -232,6 +278,26 @@ def test_missed_progression_fails_a_plain_run(monkeypatch):
     monkeypatch.setattr(SieveState, "register_prime", drop_five)
     with pytest.raises(SieveError, match="index 19: cofactor 5 of 1445 is at most 37"):
         run_sieve(make_params(1), 19)
+
+
+def test_composite_cofactor_fails_verify_at_once_and_a_plain_run_later(monkeypatch):
+    # at c = 1, N_15 = 30^2 + 1 = 901 = 17 * 53 and 17 is due there;
+    # without it the cofactor 901 passes the bound X - 1 = 29.  A plain
+    # run registers 901 as a prime and hides 53, which then leaves
+    # N_38 = 53 * 109 whole and hides 109, the cofactor of
+    # N_71 = 5 * 37 * 109 below X - 1 = 141.  For J from 15 to 52 a
+    # plain run passes with P too large; from 53 the closed form of D
+    # misses 53.
+    pop_due = SieveState.pop_due
+
+    def drop_17_at_15(self, j):
+        return [p for p in pop_due(self, j) if (j, p) != (15, 17)]
+
+    monkeypatch.setattr(SieveState, "pop_due", drop_17_at_15)
+    with pytest.raises(SieveError, match="index 15: cofactor 901 of 901 is not prime"):
+        run_sieve(make_params(1), 20, verify=True)
+    with pytest.raises(SieveError, match="index 71: cofactor 109 of 20165 is at most 141"):
+        run_sieve(make_params(1), 100)
 
 
 def test_verify_mode_matches_plain_run():
