@@ -18,7 +18,6 @@ from .core import (
     element_at,
     index_of,
     is_prime,
-    isqrt_floor,
     make_params,
 )
 from .oracle import OracleReport, brute_sets, compare, trial_factor
@@ -64,7 +63,6 @@ __all__ = [
     "element_at",
     "index_of",
     "is_prime",
-    "isqrt_floor",
     "make_params",
     "OracleReport",
     "brute_sets",

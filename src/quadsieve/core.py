@@ -13,7 +13,6 @@ OverflowError instead of silently widening.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -95,13 +94,6 @@ def index_of(params: EcParams, x: int) -> int:
     if x < 0 or x % 2 != params.r:
         raise ValueError(f"abscissa {x} does not belong to E_{params.c}")
     return (x - params.r) // 2
-
-
-def isqrt_floor(n: int) -> int:
-    """Floor of the square root of a non-negative integer."""
-    if n < 0:
-        raise ValueError(f"square root of negative value {n}")
-    return math.isqrt(n)
 
 
 def is_prime(n: int) -> bool:

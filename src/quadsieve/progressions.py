@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import INT63_MAX, EcParams, is_prime, isqrt_floor
+from .core import INT63_MAX, EcParams, is_prime
 
 # Trial divisors taken out of a modulus before Pollard-Brent rho.
 _SMALL_PRIMES = tuple(p for p in range(3, 1000, 2) if is_prime(p))
@@ -251,7 +251,7 @@ def first_occurrence(params: EcParams, a: int) -> FirstHit | None:
         modulus *= m
     # s and s + modulus cover both parities since the modulus is odd
     x0 = min(s if s % 2 == r else s + modulus for s in roots)
-    if x0 > isqrt_floor(INT63_MAX - c):
+    if x0 > math.isqrt(INT63_MAX - c):
         raise OverflowError(
             f"first element divisible by {a} leaves the 63-bit range"
         )

@@ -33,9 +33,10 @@ from bisect import bisect_right
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import compress
+from math import isqrt
 from typing import NamedTuple
 
-from .core import EcParams, element_at, is_prime, isqrt_floor
+from .core import EcParams, element_at, is_prime
 from .progressions import _index_classes
 from .uz import special_pair_one, special_pair_two
 
@@ -46,15 +47,9 @@ class SieveError(RuntimeError):
 
 class RegisteredPrime(NamedTuple):
     """What register_prime opened for one odd prime, returned to the
-    caller and kept by no one.
+    caller and kept by no one: next_hits holds the first index past the
+    discovery of each slot opened, see _next_hits."""
 
-    residues lists the one or two index classes mod p whose elements p
-    divides; next_hits gives, per residue, the first index past the
-    discovery at which the sieve divides by p.
-    """
-
-    p: int
-    residues: tuple[int, ...]
     next_hits: list[int]
 
 
@@ -97,12 +92,24 @@ def atkin_primes(limit: int) -> list[int]:
     size = (limit + 1) // 2
     flags = bytearray([1]) * size
     flags[0] = 0
-    for i in range(1, (isqrt_floor(limit) + 1) // 2):
+    for i in range(1, (isqrt(limit) + 1) // 2):
         if flags[i]:
             p = 2 * i + 1
             start = p * p // 2
             flags[start::p] = bytes(len(range(start, size, p)))
     return [2, *compress(range(1, limit + 1, 2), flags)]
+
+
+def _next_hits(p: int, j: int, r: int) -> list[int]:
+    """The indices past j at which an odd prime p >= X = 2j + r, first
+    seen at index j, next divides an element: j + p, and the dual index
+    p - r - j of the other root -X of X**2 == -c (mod p) unless it is j
+    (p = X) or j + p (j = r = 0).  A prime p < X raises ValueError.
+    """
+    dual = p - r - j
+    if dual < j:
+        raise ValueError(f"prime {p} is below X = {2 * j + r} at index {j}")
+    return [j + p] if dual in (j, j + p) else [j + p, dual]
 
 
 class SieveState:
@@ -113,14 +120,15 @@ class SieveState:
     (threshold, j_max] to the primes due there; each (index, prime) pair
     is a slot.  A later prime opens at most two slots and each index
     past the head brings at most one, so the arrays have room for
-    2 * (j_max - threshold) more.  The table keeps no set of its primes:
-    a prime registered at index j is at least X = 2j + r, and an odd
-    prime p >= X that divides N_j divides no earlier element, since
-    p | N_j - N_i = 4(j - i)(i + j + r) with both factors below p, so
-    it is neither a calendar prime nor an earlier registration.  One
-    vectorized comparison per element finds every due slot.  The table
-    is the one user of numpy, which it imports when it is built, so
-    runs that end inside the head never load it.
+    2 * (j_max - threshold) more.  Unlike the calendar, registrations
+    also open slots due past j_max, which never fire.  The table keeps
+    no set of its primes: a prime registered at index j is at least
+    X = 2j + r, and an odd prime p >= X that divides N_j divides no
+    earlier element, since p | N_j - N_i = 4(j - i)(i + j + r) with both
+    factors below p, so it is neither a calendar prime nor an earlier
+    registration.  One vectorized comparison per element finds every
+    due slot.  The table is the one user of numpy, which it imports
+    when it is built, so runs that end inside the head never load it.
     """
 
     def __init__(self, params: EcParams, j_max: int, due: Mapping[int, list[int]]):
@@ -137,24 +145,18 @@ class SieveState:
         self._prime[: self._size] = primes
 
     def register_prime(self, p: int, j_found: int) -> RegisteredPrime:
-        """Open the progressions of an odd prime first seen past the head.
-
-        The discovery index and its dual give the residues; scheduling
-        starts strictly past the discovery index, so nothing already
-        factored is revisited.  The caller passes a prime seen for the
-        first time, which the table does not check: a prime registered
-        twice opens its slots twice.
+        """Open a slot at each next hit of an odd prime p first seen at
+        index j_found past the head, see _next_hits, whatever that hit: a
+        slot due past j_max stays in the scan and never fires.  The
+        caller passes a prime seen for the first time, which the table
+        does not check: a prime registered twice opens its slots twice.
         """
-        r1 = j_found % p
-        r2 = (p - self.params.r - j_found) % p
-        residues = (r1,) if r1 == r2 else tuple(sorted((r1, r2)))
-        start = j_found + 1
-        next_hits = [start + (rho - start) % p for rho in residues]
+        next_hits = _next_hits(p, j_found, self.params.r)
         i, end = self._size, self._size + len(next_hits)
         self._next[i:end] = next_hits
         self._prime[i:end] = p
         self._size = end
-        return RegisteredPrime(p, residues, next_hits)
+        return RegisteredPrime(next_hits)
 
     def pop_due(self, j: int) -> list[int]:
         """The primes of the slots due at index j, in slot order; each of
@@ -233,7 +235,7 @@ def factorizations(
 
 
 def _factor(
-    j: int, n: int, due: Iterable[int], bound: int, verify: bool
+    j: int, n: int, due: Collection[int], bound: int, verify: bool
 ) -> tuple[list[tuple[int, int]], int]:
     """Divide n, the element at index j, by each due prime to its full
     power; return the factors ascending, the cofactor left included, and
@@ -242,8 +244,13 @@ def _factor(
     Every prime up to bound that divides n must be due, so the cofactor
     is 1 or a prime above bound.  A due prime that does not divide n, a
     cofactor > 1 at most bound and, with verify on, a cofactor that is
-    not prime each raise SieveError.
+    not prime each raise SieveError, which ends with the due primes.
     """
+
+    def failure(what: str) -> SieveError:
+        primes = ", ".join(map(str, sorted(due))) or "none"
+        return SieveError(f"index {j}: {what}; due: {primes}")
+
     factors = []
     rem = n
     for p in due:
@@ -252,16 +259,15 @@ def _factor(
             rem //= p
             e += 1
         if e == 0:
-            raise SieveError(f"index {j}: prime {p} was due but does not divide {n}")
+            raise failure(f"prime {p} was due but does not divide {n}")
         factors.append((p, e))
     if rem > 1:
         if rem <= bound:
-            raise SieveError(
-                f"index {j}: cofactor {rem} of {n} is at most {bound}, "
-                "so a due prime was missed"
+            raise failure(
+                f"cofactor {rem} of {n} is at most {bound}, so a due prime was missed"
             )
         if verify and not is_prime(rem):
-            raise SieveError(f"index {j}: cofactor {rem} of {n} is not prime")
+            raise failure(f"cofactor {rem} of {n} is not prime")
         factors.append((rem, 1))
     factors.sort()
     return factors, rem
@@ -272,7 +278,7 @@ def _factor_pass(
 ) -> Iterator[FactorizationRecord]:
     c, r = params.c, params.r
     head_end = min(params.j_threshold, j_max)
-    limit = isqrt_floor(element_at(params, head_end).n)
+    limit = isqrt(element_at(params, head_end).n)
     # the calendar: each index up to j_max that a known prime divides,
     # with the primes due there
     due: dict[int, list[int]] = {}
@@ -296,9 +302,9 @@ def _factor_pass(
                 else:
                     due[k] = [p]
         if rem > 1:
-            # rem > limit >= X at head_end, so both of its classes come
-            # back past the head; they are one class when j = r = 0
-            for k in {j + rem, rem - r - j}:
+            # rem > limit >= X at head_end, so both of its next hits
+            # lie past the head
+            for k in _next_hits(rem, j, r):
                 if k <= j_max:
                     due.setdefault(k, []).append(rem)
         yield FactorizationRecord(j, x, n, tuple(factors))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from quadsieve import (
     element_at,
     index_of,
     is_prime,
-    isqrt_floor,
     make_params,
 )
 
@@ -91,11 +91,9 @@ def test_index_rejects_wrong_parity():
 
 
 def test_isqrt_examples():
-    assert isqrt_floor(16) == 4
-    assert isqrt_floor(961) == 31
-    assert isqrt_floor(2**62 - 1) == 2147483647
-    with pytest.raises(ValueError):
-        isqrt_floor(-1)
+    assert math.isqrt(16) == 4
+    assert math.isqrt(961) == 31
+    assert math.isqrt(2**62 - 1) == 2147483647
 
 
 def test_isqrt_of_elements_past_threshold():
@@ -104,7 +102,7 @@ def test_isqrt_of_elements_past_threshold():
         p = make_params(c)
         for j in range(p.j_threshold + 1, p.j_threshold + 40):
             el = element_at(p, j)
-            assert isqrt_floor(el.n) == el.x
+            assert math.isqrt(el.n) == el.x
 
 
 def test_is_prime_small_and_carmichael():

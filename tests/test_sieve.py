@@ -81,22 +81,48 @@ def test_records_round_trip():
         assert list(rec.factors) == sorted(rec.factors)
 
 
+def residues(rec, p):
+    return tuple(sorted(h % p for h in rec.next_hits))
+
+
 def test_register_prime_examples():
     st = SieveState(make_params(1), 100, {})
     rec = st.register_prime(5, 1)
-    assert rec.residues == (1, 4)
+    assert residues(rec, 5) == (1, 4)
     st = SieveState(make_params(5), 100, {})
-    assert st.register_prime(5, 0).residues == (0,)
+    assert residues(st.register_prime(5, 0), 5) == (0,)
     st = SieveState(make_params(4), 100, {})
-    assert st.register_prime(5, 0).residues == (0, 4)
+    assert residues(st.register_prime(5, 0), 5) == (0, 4)
 
 
 def test_register_prime_schedules_past_discovery():
     st = SieveState(make_params(1), 100, {})
     rec = st.register_prime(5, 1)
     assert rec.next_hits == [6, 4]
-    for rho, nh in zip(rec.residues, rec.next_hits):
-        assert nh > 1 and nh % 5 == rho
+    assert all(nh > 1 for nh in rec.next_hits)
+    assert residues(rec, 5) == (1, 4)
+
+
+def test_next_hits_are_the_first_index_past_j_in_each_class():
+    for c in (1, 4, 61, 80002):
+        params = make_params(c)
+        for p in atkin_primes(2000)[1:]:
+            classes = sieve._index_classes(params, p, 1)
+            if classes is None:
+                continue
+            for j in classes[1]:
+                if 2 * j + params.r > p:
+                    continue
+                hits = sieve._next_hits(p, j, params.r)
+                first = [j + 1 + (rho - j - 1) % p for rho in classes[1]]
+                assert sorted(hits) == sorted(first), (c, p, j)
+                assert hits[0] == j + p
+                if c % p == 0:
+                    assert len(hits) == 1, (c, p, j)
+    assert sieve._next_hits(61, 0, 0) == [61]
+    st = SieveState(make_params(1), 100, {})
+    with pytest.raises(ValueError, match="prime 5 is below X = 6 at index 3"):
+        st.register_prime(5, 3)
 
 
 def test_every_registration_is_a_first_sighting(monkeypatch):
@@ -162,12 +188,13 @@ def test_pop_due_matches_brute_force():
     slots = []
     for p in primes:
         classes = sieve._index_classes(params, p, 1)[1]
-        j_found = rng.choice(classes) + p * rng.randrange(3)
+        # the smaller class index is the only one with 2j + r <= p
+        j_found = classes[0]
         rec = st.register_prime(p, j_found)
-        assert rec.residues == classes
-        for rho, first in zip(rec.residues, rec.next_hits):
+        assert residues(rec, p) == classes
+        for first in rec.next_hits:
             # the first hit is the class's first index past the discovery
-            assert first % p == rho and j_found < first <= j_found + p
+            assert j_found < first <= j_found + p
             slots.append((p, first))
     expected = {j: [] for j in range(bound + 1)}
     for p, first in slots:
@@ -276,8 +303,10 @@ def test_missed_progression_fails_a_plain_run(monkeypatch):
         return None if p == 5 else register(self, p, j_found)
 
     monkeypatch.setattr(SieveState, "register_prime", drop_five)
-    with pytest.raises(SieveError, match="index 19: cofactor 5 of 1445 is at most 37"):
+    with pytest.raises(SieveError, match="index 19: cofactor 5 of 1445 is at most 37") as err:
         run_sieve(make_params(1), 19)
+    # 1445 = 5 * 17^2, and 17 was the one prime due there
+    assert str(err.value).endswith("; due: 17")
 
 
 def test_composite_cofactor_fails_verify_at_once_and_a_plain_run_later(monkeypatch):
@@ -294,8 +323,9 @@ def test_composite_cofactor_fails_verify_at_once_and_a_plain_run_later(monkeypat
         return [p for p in pop_due(self, j) if (j, p) != (15, 17)]
 
     monkeypatch.setattr(SieveState, "pop_due", drop_17_at_15)
-    with pytest.raises(SieveError, match="index 15: cofactor 901 of 901 is not prime"):
+    with pytest.raises(SieveError, match="index 15: cofactor 901 of 901 is not prime") as err:
         run_sieve(make_params(1), 20, verify=True)
+    assert str(err.value).endswith("; due: none")
     with pytest.raises(SieveError, match="index 71: cofactor 109 of 20165 is at most 141"):
         run_sieve(make_params(1), 100)
 
