@@ -3,10 +3,12 @@ E_c = {X^2 + c : X of parity opposite to c}.
 
 Element values are factored in index order by following the one or two
 arithmetic progressions of indices attached to every odd prime divisor,
-so past a small head range each new prime appears exactly once and
-division work is driven entirely by the progression table.  Companion
-modules construct the first-occurrence data and dual progressions
-directly, build the quadratic sequence pairs (U_n, Z_n) whose products
+so each element is divided only by the primes due at its index: in a
+small head range those of the root classes of X^2 = -c, held in a
+calendar, and past it those of a progression table, where each new
+prime appears exactly once.  Companion modules construct the
+first-occurrence data and dual progressions directly, build the
+quadratic sequence pairs (U_n, Z_n) whose products
 Z_n * Z_{n+1} = U_n^2 + c generate factorizations, and provide a
 trial-division oracle for end-to-end verification.
 """

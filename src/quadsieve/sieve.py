@@ -1,25 +1,23 @@
-"""Two-phase factorization sieve over E_c.
+"""Factorization sieve over E_c: one marching loop over the indices.
 
-Elements are processed in index order.  Head indices, up to the
-parameter threshold, are sieved by root classes, as the quadratic sieve
-treats polynomial values, through a calendar (O'Neill's incremental
+Elements are processed in index order.  Each is divided, to full
+powers, by exactly the primes due at its index, which leaves 1 or one
+new prime; the new prime is filed at its next index in each of its root
+classes, and each due prime again p indices on.  Up to the parameter
+threshold, the head, the schedule is a calendar (O'Neill's incremental
 sieve): a dict from each index to the primes due there, seeded with the
 first index of each class on which X**2 == -c (mod p) for every odd
-prime p up to the square root of the last head element.  Each head
-element is divided by exactly its due primes, to their full powers,
-which leaves 1 or one prime.  Due primes are filed again p indices on,
-a cofactor at its next index in each class, and nothing past the run's
-last index.  A prime whose classes miss the head is divided out at its
-first hit past it instead of being found there as a new cofactor; the
-records are the same.  Past the threshold each element is divided by
-exactly the primes whose index progressions predict a hit there; the
-cofactor left is 1 or a single new prime to the first power, which gets
-registered in turn.  Both phases divide through one factor step,
-_factor, and differ only in the bound a cofactor must exceed.  The
-progression table is built only when a run goes past the head, with the
-calendar's entries as its first slots, so a run that ends inside the
-head never builds it and never imports numpy.  Its slots are (prime,
-next index) pairs, and each step scans them once for hits.
+prime p up to limit, the square root of the last head element, the way
+the quadratic sieve treats polynomial values.  The calendar files
+nothing past the run's last index.  Past the head the same loop takes
+its due primes from a progression table built from the calendar's
+entries, so a run that ends inside the head never builds it and never
+imports numpy.  Its slots are (prime, next index) pairs, and each step
+scans them once for hits.  One bound serves every index, max(limit,
+X - 1): a cofactor at or below it means a due prime was missed.  A
+prime whose classes miss the head is divided out at its first hit past
+it instead of being found there as a new cofactor; the records are the
+same.
 
 factorizations() is that single pass, yielding one record per element;
 run_sieve() tallies P, D and checkpoint rows over it, and the oracle
@@ -218,15 +216,16 @@ def factorizations(
     """Factor every element with index <= j_max, yielding one record per
     element in index order.
 
-    The head, indices up to min(threshold, j_max), is sieved by the root
-    classes of the odd primes up to the square root of its last element,
-    so each head element is divided by exactly the primes that divide
-    it.  Arguments are checked when this is called, not at the first
-    record.  A due prime that does not divide its element, a head
-    cofactor at or below that square root and a progression-phase
-    cofactor below X = 2j + r each raise SieveError.  With verify on,
-    the sequence pairs are cross-checked up front and every cofactor is
-    confirmed prime with a deterministic test.
+    Each element is divided by exactly the primes due at its index: in
+    the head, indices up to min(threshold, j_max), the odd primes up to
+    limit, the square root of its last element, through their root
+    classes; past it the primes of the progressions met so far.
+    Arguments are checked when this is called, not at the first record.
+    A due prime that does not divide its element, a cofactor at or below
+    max(limit, X - 1) with X = 2j + r, and a whole element that fails a
+    base-2 Fermat test each raise SieveError.  With verify on, the
+    sequence pairs are cross-checked up front and every cofactor is
+    confirmed prime with a deterministic test instead.
     """
     validate_run(params, j_max)
     if verify:
@@ -243,8 +242,10 @@ def _factor(
 
     Every prime up to bound that divides n must be due, so the cofactor
     is 1 or a prime above bound.  A due prime that does not divide n, a
-    cofactor > 1 at most bound and, with verify on, a cofactor that is
-    not prime each raise SieveError, which ends with the due primes.
+    cofactor > 1 at most bound and a cofactor that is not prime each
+    raise SieveError, which ends with the due primes.  With verify on,
+    every cofactor gets a deterministic test; without it only a whole
+    element, which P would count, gets a base-2 Fermat test.
     """
 
     def failure(what: str) -> SieveError:
@@ -266,11 +267,23 @@ def _factor(
             raise failure(
                 f"cofactor {rem} of {n} is at most {bound}, so a due prime was missed"
             )
-        if verify and not is_prime(rem):
-            raise failure(f"cofactor {rem} of {n} is not prime")
+        if verify:
+            if not is_prime(rem):
+                raise failure(f"cofactor {rem} of {n} is not prime")
+        elif rem == n and pow(2, n - 1, n) != 1:
+            raise failure(f"cofactor {n} of {n} fails the base-2 Fermat test")
         factors.append((rem, 1))
     factors.sort()
     return factors, rem
+
+
+def _file(due: dict[int, list[int]], k: int, p: int, j_max: int) -> None:
+    """File prime p in the calendar due at index k, unless k > j_max."""
+    if k <= j_max:
+        if k in due:
+            due[k].append(p)
+        else:
+            due[k] = [p]
 
 
 def _factor_pass(
@@ -286,46 +299,34 @@ def _factor_pass(
         classes = _index_classes(params, p, 1)
         if classes is not None:
             for k in classes[1]:
-                if k <= j_max:
-                    due.setdefault(k, []).append(p)
-    for j in range(head_end + 1):
+                _file(due, k, p, j_max)
+    state: SieveState | None = None
+    for j in range(j_max + 1):
+        if j == head_end + 1:
+            # the hand-off: the calendar's entries become the table's first slots
+            state = SieveState(params, j_max, due)
         x = 2 * j + r
         n = x * x + c
-        marked = due.pop(j, ())
-        # every prime up to limit >= sqrt(n) that divides n is due here
-        factors, rem = _factor(j, n, marked, limit, verify)
-        for p in marked:
-            k = j + p
-            if k <= j_max:
-                if k in due:
-                    due[k].append(p)
-                else:
-                    due[k] = [p]
+        if state is None:
+            marked = due.pop(j, ())
+            for p in marked:
+                _file(due, j + p, p, j_max)
+        else:
+            marked = state.pop_due(j)
+        # Every prime up to the bound that divides n is due.  In the head
+        # the bound is limit >= sqrt(n).  Past it, where c < 4 * X_head_end
+        # + 4 gives limit <= X - 1, it is X - 1: a prime p < X dividing N_j
+        # also divides an earlier element, at index j mod p or at the dual
+        # index p - r - j (p == X only when X divides c).
+        factors, rem = _factor(j, n, marked, max(limit, x - 1), verify)
         if rem > 1:
-            # rem > limit >= X at head_end, so both of its next hits
-            # lie past the head
-            for k in _next_hits(rem, j, r):
-                if k <= j_max:
-                    due.setdefault(k, []).append(rem)
-        yield FactorizationRecord(j, x, n, tuple(factors))
-    if j_max == head_end:
-        return
-    # the hand-off: the calendar's entries become the table's first slots
-    state = SieveState(params, j_max, due)
-    for j in range(head_end + 1, j_max + 1):
-        x = 2 * j + r
-        n = x * x + c
-        # A prime p < X dividing N_j also divides an earlier element, at
-        # index j mod p or at the dual index p - r - j, so it is due;
-        # p == X can only hold when X divides c.
-        factors, rem = _factor(j, n, state.pop_due(j), x - 1, verify)
-        if rem > 1:
-            # A first sighting: _factor has checked that rem >= X, so a
-            # prime rem divides no earlier element (see SieveState) and
-            # is neither a calendar prime nor an earlier registration.
-            # A composite rem is what verify's is_prime rejects, at its
-            # own index.
-            state.register_prime(rem, j)
+            # A first sighting: rem > bound >= X - 1 and, if prime, it
+            # divides no earlier element (see SieveState).
+            if state is None:
+                for k in _next_hits(rem, j, r):
+                    _file(due, k, rem, j_max)
+            else:
+                state.register_prime(rem, j)
         yield FactorizationRecord(j, x, n, tuple(factors))
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import tracemalloc
+from math import isqrt
 
 import pytest
 
@@ -15,6 +17,7 @@ from quadsieve import (
     sieve,
     trial_factor,
 )
+from quadsieve.cli import render_factors
 
 
 def eratosthenes(limit):
@@ -208,6 +211,34 @@ def test_pop_due_matches_brute_force():
                 assert p in popped[j + p]
 
 
+def test_records_on_the_grid_are_pinned():
+    # sha256 over one line per record on a grid of 210 runs: every c up
+    # to 199 just past its head, long progression phases, a long head,
+    # square-heavy and large c; verify on for c divisible by 3
+    cases = [(c, make_params(c).j_threshold + 40) for c in range(1, 200)]
+    cases += [(c, 3000) for c in (1, 3, 4, 61)]
+    cases += [(80002, 20300)]
+    cases += [(c, 2000) for c in (3**12, 10**9 + 7, 4 * 5**8, 7**2 * 11**2 * 13, 9 * 2**20)]
+    cases += [(2**40 + 1, 300)]
+    digest = hashlib.sha256()
+    for c, j_max in cases:
+        for j, x, n, factors in factorizations(make_params(c), j_max, verify=c % 3 == 0):
+            digest.update(f"{c},{j},{x},{n},{render_factors(factors)}\n".encode())
+    assert digest.hexdigest() == (
+        "52d7558951f3d521cf7c45980365cca4f9d85b9572a6e590cdd542bc95b23c9e"
+    )
+
+
+def test_one_cofactor_bound_serves_both_phases():
+    # the pass bounds a cofactor by max(limit, X - 1), limit the square
+    # root of the head's last element N_J at J = J_c: limit >= X there,
+    # and limit <= X + 1, the next index's X - 1, since c < 4 * X + 4
+    for c in [*range(1, 10**5 + 1), *range(2**62 - 200, 2**62)]:
+        params = make_params(c)
+        x = 2 * params.j_threshold + params.r
+        assert x <= isqrt(x * x + c) <= x + 1, c
+
+
 def test_one_new_prime_at_a_time_past_threshold():
     for c in (1, 3, 4, 61):
         params = make_params(c)
@@ -294,40 +325,55 @@ def test_on_record_sees_the_stream():
 
 
 def test_missed_progression_fails_a_plain_run(monkeypatch):
-    # dropping 5 from the schedule leaves it as the whole cofactor of
-    # 38^2 + 1 = 5 * 17^2 at index 19, below X = 38; no other check
-    # fails by then, so without this one the run ends with wrong counts
+    # dropping 5 from the schedule leaves N_4 = 65 = 5 * 13 whole, and P
+    # would count it: the base-2 Fermat test stops a plain run there
     register = SieveState.register_prime
 
     def drop_five(self, p, j_found):
         return None if p == 5 else register(self, p, j_found)
 
     monkeypatch.setattr(SieveState, "register_prime", drop_five)
+    with pytest.raises(SieveError, match="index 4: cofactor 65 of 65 fails the base-2 Fermat"):
+        run_sieve(make_params(1), 19)
+    # dropping 5 at index 19 alone leaves it as the whole cofactor of
+    # 38^2 + 1 = 5 * 17^2, below X = 38, with 17 the one prime due there
+    monkeypatch.setattr(SieveState, "register_prime", register)
+    pop_due = SieveState.pop_due
+    monkeypatch.setattr(
+        SieveState, "pop_due", lambda self, j: [p for p in pop_due(self, j) if (j, p) != (19, 5)]
+    )
     with pytest.raises(SieveError, match="index 19: cofactor 5 of 1445 is at most 37") as err:
         run_sieve(make_params(1), 19)
-    # 1445 = 5 * 17^2, and 17 was the one prime due there
     assert str(err.value).endswith("; due: 17")
 
 
 def test_composite_cofactor_fails_verify_at_once_and_a_plain_run_later(monkeypatch):
     # at c = 1, N_15 = 30^2 + 1 = 901 = 17 * 53 and 17 is due there;
-    # without it the cofactor 901 passes the bound X - 1 = 29.  A plain
-    # run registers 901 as a prime and hides 53, which then leaves
-    # N_38 = 53 * 109 whole and hides 109, the cofactor of
-    # N_71 = 5 * 37 * 109 below X - 1 = 141.  For J from 15 to 52 a
-    # plain run passes with P too large; from 53 the closed form of D
-    # misses 53.
+    # without it the cofactor 901 passes the bound X - 1 = 29, and P
+    # would count it, so the base-2 Fermat test stops a plain run at
+    # once.  N_49 = 9605 = 5 * 17 * 113: without the 5 the cofactor 565
+    # is not the whole element, so a plain run files it as a prime and
+    # hides 113, with P and D still right, until 113 is left as the
+    # cofactor of N_64 = 5 * 29 * 113, below X - 1 = 127.
     pop_due = SieveState.pop_due
-
-    def drop_17_at_15(self, j):
-        return [p for p in pop_due(self, j) if (j, p) != (15, 17)]
-
-    monkeypatch.setattr(SieveState, "pop_due", drop_17_at_15)
+    dropped = {(15, 17)}
+    monkeypatch.setattr(
+        SieveState, "pop_due", lambda self, j: [p for p in pop_due(self, j) if (j, p) not in dropped]
+    )
     with pytest.raises(SieveError, match="index 15: cofactor 901 of 901 is not prime") as err:
         run_sieve(make_params(1), 20, verify=True)
     assert str(err.value).endswith("; due: none")
-    with pytest.raises(SieveError, match="index 71: cofactor 109 of 20165 is at most 141"):
-        run_sieve(make_params(1), 100)
+    for j_max in (20, 100):
+        with pytest.raises(SieveError, match="index 15: cofactor 901 of 901 fails the base-2"):
+            run_sieve(make_params(1), j_max)
+    dropped = {(49, 5)}
+    with pytest.raises(SieveError, match="index 49: cofactor 565 of 9605 is not prime"):
+        run_sieve(make_params(1), 49, verify=True)
+    out = run_sieve(make_params(1), 63)
+    p_set, d_set = brute_sets(make_params(1), 63)
+    assert (out.p_set, out.d_set) == (p_set, d_set)
+    with pytest.raises(SieveError, match="index 64: cofactor 113 of 16385 is at most 127"):
+        run_sieve(make_params(1), 64)
 
 
 def test_verify_mode_matches_plain_run():
@@ -383,13 +429,20 @@ def test_head_mark_that_misses_its_element_raises(monkeypatch):
 
 def test_head_missed_root_class_raises(monkeypatch):
     # dropping the class j == 4 (mod 5) leaves N_4 = 125 whole, which
-    # only the primality test catches, and 5 alone of N_9 = 385 = 5*7*11,
-    # below the square root bound isqrt(N_15) = 31
+    # the primality test catches with verify on and the base-2 Fermat
+    # test without
     _with_classes_of_five(monkeypatch, lambda mc: (mc[0], mc[1][:1]))
-    with pytest.raises(SieveError, match="index 9: cofactor 5 of 385 is at most 31"):
+    with pytest.raises(SieveError, match="index 4: cofactor 125 of 125 fails the base-2"):
         run_sieve(make_params(61), 15)
     with pytest.raises(SieveError, match="index 4: cofactor 125 of 125 is not prime"):
         run_sieve(make_params(61), 15, verify=True)
+    # dropping the class j == 1 (mod 5) instead leaves 5 alone of
+    # N_1 = 65 = 5 * 13, below the square root bound isqrt(N_15) = 31
+    monkeypatch.undo()
+    _with_classes_of_five(monkeypatch, lambda mc: (mc[0], mc[1][1:]))
+    with pytest.raises(SieveError, match="index 1: cofactor 5 of 65 is at most 31") as err:
+        run_sieve(make_params(61), 15)
+    assert str(err.value).endswith("; due: 13")
 
 
 def test_d_set_matches_closed_form():
