@@ -255,6 +255,10 @@ def _cmd_uz_demo(args) -> int:
     params = make_params(args.c)
     pair = _select_pair(params, args)
     lo, hi = args.n
+    # a first pass raises any range error before the header; it keeps no
+    # term, so a long range still streams
+    for n in range(lo, hi + 2):
+        pair.terms(n)
     failed = False
     print("n,U_n,Z_n,check")
     for n in range(lo, hi + 1):

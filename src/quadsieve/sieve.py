@@ -166,19 +166,25 @@ class SieveState:
 
 
 def _crosscheck_pairs(params: EcParams) -> None:
-    """Check the distinguished sequence pairs' product identity on a
-    window of terms before trusting a verified run."""
+    """Check the distinguished sequence pairs' product identity on the
+    terms n = -5..5 before trusting a verified run.
+
+    The identity holds over the integers, so the terms are evaluated
+    exactly: at large c they leave the 63-bit range that terms() keeps.
+    """
     for pair in (special_pair_one(params), special_pair_two(params)):
         if pair is None:
             continue
-        u_prev, z_prev = pair.terms(-5)
-        for n in range(-4, 6):
-            u, z = pair.terms(n)
-            if u_prev * u_prev + params.c != z_prev * z:
+        window = [
+            (pair.acc * n * (n - 1) + pair.step0 * n + pair.u0,
+             pair.acc * n * (n - 1) + pair.z_step * n + pair.z0)
+            for n in range(-5, 7)
+        ]
+        for n, ((u, z), (_, z_next)) in enumerate(zip(window, window[1:]), -5):
+            if u * u + params.c != z * z_next:
                 raise SieveError(
-                    f"sequence pair identity fails at term {n - 1} for c = {params.c}"
+                    f"sequence pair identity fails at term {n} for c = {params.c}"
                 )
-            u_prev, z_prev = u, z
 
 
 def _check_d_closed_form(params: EcParams, j_max: int, d_set: list[int]) -> None:

@@ -4,8 +4,12 @@ A pair of sequences U_n = acc*n*(n-1) + step0*n + u0 and
 Z_n = acc*n*(n-1) + (step0 - acc)*n + z0 with z0 = acc - step0/2 + u0
 satisfies U_n**2 + c = Z_n * Z_{n+1} for every integer n exactly when
 the coefficients close on c, meaning c = acc*u0 + acc*step0/2 -
-step0**2/4.  Every factorization X**2 + c = A*B of an element produces
-such a pair, and the terms of a pair factor one element of E_c per n.
+step0**2/4.  The terms of a pair factor one element of E_c per n.
+
+A pair is fixed by its first factorization U_0**2 + c = Z_0 * Z_1:
+closing on c forces acc = Z_0 + Z_1 - 2*U_0 and step0 = 2*(Z_1 - U_0).
+Every constructor below only names its first terms (U_0, Z_0), and any
+factorization X**2 + c = A*B of an element yields the pair (X, A).
 """
 
 from __future__ import annotations
@@ -55,58 +59,58 @@ class UZPair:
         return u, z
 
 
+def _pair(c: int, u0: int, z0: int) -> UZPair:
+    """The pair whose first factorization is u0**2 + c = z0 * z1."""
+    n = u0 * u0 + c
+    if z0 < 1 or n % z0 != 0:
+        raise ValueError(f"{z0} does not divide {n}")
+    z1 = n // z0
+    return UZPair(acc=z0 + z1 - 2 * u0, step0=2 * (z1 - u0), u0=u0, c=c)
+
+
 def pair_from_factorization(params: EcParams, x: int, a: int) -> UZPair:
     """Pair whose n = 0 terms realize x**2 + c = a * b: U_0 = x, Z_0 = a,
     Z_1 = b."""
     if x < 0 or x % 2 != params.r:
         raise ValueError(f"abscissa {x} does not belong to E_{params.c}")
-    n = x * x + params.c
-    if a < 1 or n % a != 0:
-        raise ValueError(f"{a} does not divide {n}")
-    b = n // a
-    return UZPair(acc=a + b - 2 * x, step0=2 * (b - x), u0=x, c=params.c)
+    return _pair(params.c, x, a)
 
 
 def family_coeffs(params: EcParams, hit: FirstHit, base_j: int, k: int) -> UZPair:
     """Pair attached to step k along the index progression of
-    hit.modulus_a through base_j.
+    hit.modulus_a through base_j: U_0 = x0 + 2*k*a and Z_0 = a, where
+    x0 is the abscissa at base_j reduced modulo a.
 
-    base_j is reduced modulo the modulus; it must lie on one of the
-    divisor progressions, i.e. the modulus must divide the element at
-    the reduced index.  Every returned pair keeps z0 equal to the
-    modulus, so the Z side tracks its cofactors along the progression.
+    The reduced index must lie on one of the divisor progressions, i.e.
+    the modulus must divide its element.  Every returned pair keeps z0
+    equal to the modulus, so the Z side tracks its cofactors along the
+    progression.
     """
     a = hit.modulus_a
-    jb = base_j % a
-    x0 = 2 * jb + params.r
-    n0 = x0 * x0 + params.c
-    if n0 % a != 0:
+    x0 = 2 * (base_j % a) + params.r
+    if (x0 * x0 + params.c) % a != 0:
         raise ValueError(f"index {base_j} is not on a divisor progression of {a}")
-    b = n0 // a
-    acc = 4 * a * k * (k - 1) + 4 * x0 * k + (a + b - 2 * x0)
-    step0 = 8 * a * k * (k - 1) + (8 * x0 + 4 * a) * k + 2 * (b - x0)
-    return UZPair(acc=acc, step0=step0, u0=x0 + 2 * k * a, c=params.c)
+    return _pair(params.c, x0 + 2 * k * a, a)
 
 
 def special_pair_one(params: EcParams) -> UZPair:
     """Distinguished pair read off the two-adic split c + 1 - r =
-    2**t * (2y + 1); its z0 is the odd part 2y + 1."""
-    c, r, t, y = params.c, params.r, params.t, params.y
-    acc = 2 * (2 * r * (2 * y + 1) + 2 ** (t - 1))
-    step0 = 2 * (2**t - 1 + r * (1 + 2 * (2 * y + 1)))
-    u0 = 2 * y if r == 0 else -(2 * y + 1)
-    return UZPair(acc=acc, step0=step0, u0=u0, c=c)
+    2**t * (2y + 1): Z_0 = 2y + 1, the odd part, with U_0 = 2y for
+    r = 0 and U_0 = -(2y + 1) for r = 1."""
+    y = params.y
+    return _pair(params.c, 2 * y if params.r == 0 else -(2 * y + 1), 2 * y + 1)
 
 
 def special_pair_two(params: EcParams) -> UZPair | None:
-    """Second distinguished pair, defined only when t >= 4 - r."""
+    """Second distinguished pair, defined only when t >= 4 - r:
+    (U_0, Z_0) = (3(c + 1)/8, (c + 9)/8) for r = 0 and
+    (c/4 - 1, c/4 + 1) for r = 1."""
     if params.t < 4 - params.r:
         return None
     c = params.c
     if params.r == 0:
-        return UZPair(acc=(c + 1) // 2, step0=(3 * c - 1) // 2,
-                      u0=3 * (c + 1) // 8, c=c)
-    return UZPair(acc=4, step0=4, u0=c // 4 - 1, c=c)
+        return _pair(c, 3 * (c + 1) // 8, (c + 9) // 8)
+    return _pair(c, c // 4 - 1, c // 4 + 1)
 
 
 def z_values_distinct(pair: UZPair) -> bool:
@@ -120,32 +124,17 @@ def z_values_distinct(pair: UZPair) -> bool:
 def appendix_pair(params: EcParams, j: int, k: int, variant: str = "a") -> UZPair:
     """Pair tied to N = (2j + r)**2 + c whose z0 equals N itself.
 
-    variant "a" walks the index progression N - j - r + k*N, variant
-    "b" the dual progression j + (k + 1)*N; both keep every Z term a
-    cofactor of N against later elements.
+    U_0 = 2w + r, where variant "a" walks the index progression
+    w = N - j - r + k*N and variant "b" the dual progression
+    w = j + (k + 1)*N; both keep every Z term a cofactor of N against
+    later elements.
     """
     if j < 0 or k < 0:
         raise ValueError(f"j and k must be >= 0, got j = {j}, k = {k}")
     v = variant.lower()
     if v not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    c, r = params.c, params.r
-    n_val = (2 * j + r) ** 2 + c
-    vk = 4 * k * (k - 1) + 12 * k + 2
-    e = c + (1 - r)
-    a1 = 4 * c * k * (k + 1) + e
-    b1 = 4 * c * k * (k + 1) + c * vk + 2 * e
-    a2 = (4 * j * (j - (1 - r)) + 24 * j * k + 32 * k * j * (j - 1)
-          + 16 * j * (j - r) * k * (k - 1) + 4 * k * r * (8 * j + 8 * j * (k - 1) + k))
-    b2 = (4 * j + 16 * j * (j - (1 - r)) + 64 * j * k + 80 * k * j * (j - 1)
-          + 32 * j * (j - r) * k * (k - 1)
-          + 4 * k * r * (20 * j + 16 * j * (k - 1) + 2 * k + 1))
-    if v == "a":
-        acc = a1 + a2
-        step0 = b1 + b2
-        u0 = 2 * ((n_val - j - r) + k * n_val) + r
-    else:
-        acc = a1 + 4 * r + a2 + 8 * (j + 2 * j * k) + 8 * k * r
-        step0 = b1 + 12 * r + b2 + 8 * (3 * j + 4 * j * k) + 16 * k * r
-        u0 = 2 * (j + (k + 1) * n_val) + r
-    return UZPair(acc=acc, step0=step0, u0=u0, c=c)
+    r = params.r
+    n_val = (2 * j + r) ** 2 + params.c
+    w = n_val - j - r + k * n_val if v == "a" else j + (k + 1) * n_val
+    return _pair(params.c, 2 * w + r, n_val)

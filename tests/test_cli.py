@@ -227,6 +227,16 @@ def test_uz_demo_appendix(capsys):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "c, which", [(2**62, "special1"), (2**62 - 1, "special2")]
+)
+def test_uz_demo_range_error_prints_no_row(capsys, c, which):
+    assert run_cli("uz-demo", "--c", str(c), "--which", which, "--n", "0..1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "63-bit" in captured.err
+
+
 def test_uz_demo_bad_range(capsys):
     assert run_cli("uz-demo", "--c", "1", "--which", "special1", "--n", "5..1") == 2
     assert run_cli("uz-demo", "--c", "1", "--which", "special1", "--n", "abc") == 2

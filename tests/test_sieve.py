@@ -387,6 +387,14 @@ def test_verify_mode_matches_plain_run():
         )
 
 
+@pytest.mark.parametrize("c", [2**62 - 1, 10**18 + 15])
+def test_verify_checks_pairs_whose_terms_leave_63_bits(c):
+    # the special pairs' terms at n = -5..5 exceed 2**63 here, yet the
+    # product identity holds and every element in range must stay usable;
+    # the records are not drawn, as the head would seed every prime < 2**31
+    factorizations(make_params(c), 0, verify=True)
+
+
 def test_d_set_bounded_by_run_length():
     out = run_sieve(make_params(1), 10)
     # 13 divides the element at j = 4 but exceeds the bound

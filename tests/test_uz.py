@@ -189,11 +189,21 @@ def test_special_pair_one_examples():
     assert (pair.acc, pair.step0, pair.u0, pair.z0) == (8, 14, 0, 1)
 
 
+def check_first_factorization(pair):
+    """The pair is the one its first factorization u0**2 + c = z0 * z1
+    fixes."""
+    n = pair.u0 ** 2 + pair.c
+    assert n % pair.z0 == 0
+    z1 = n // pair.z0
+    assert (pair.acc, pair.step0) == (pair.z0 + z1 - 2 * pair.u0, 2 * (z1 - pair.u0))
+
+
 def test_special_pair_one_z0_is_odd_part():
     for c in range(1, 201):
         params = make_params(c)
         pair = special_pair_one(params)
         assert pair.z0 == 2 * params.y + 1
+        check_first_factorization(pair)
         check_identity(pair)
 
 
@@ -213,6 +223,7 @@ def test_special_pair_two_threshold():
         pair = special_pair_two(params)
         assert (pair is not None) == (params.t >= 4 - params.r)
         if pair is not None:
+            check_first_factorization(pair)
             check_identity(pair)
 
 
