@@ -2,18 +2,20 @@
 
 An odd integer A divides an element X**2 + c of E_c exactly when X is a
 square root of -c modulo A.  Those roots are computed, not searched
-for: A is factored (trial division, Miller-Rabin, Pollard-Brent rho),
-each prime power p**k of A contributes at most two root classes modulo
-a divisor of p**k (a square root modulo p, then a Hensel lift), and
-the classes combine by the CRT.  The root set is closed under negation,
-so the first element divisible by A has an abscissa of at most A.
+for, and one rule, _index_classes, turns them into indices: each prime
+power p**k contributes at most two index classes modulo a divisor m of
+p**k (a square root modulo p, a Hensel lift, then j = (X - r) / 2
+mod m).  A is factored (trial division, Miller-Rabin, Pollard-Brent
+rho) and the classes of its prime powers combine by the CRT, so the
+first element divisible by A has an index below A.
 
 The indices of the multiples of A form one or two arithmetic
-progressions, one per root class of the family parity.  For A coprime
-to c the common difference is A itself and the two residues pair up
-around the first occurrence; the progressions merge into a single
-self-dual one exactly when A divides c.  For prime powers p**a with
-p | c the difference drops below p**a.
+progressions, one per index class.  For A coprime to c the common
+difference is A itself and the two residues pair up around the first
+occurrence; the progressions merge into a single self-dual one exactly
+when A divides c.  For prime powers p**a with p | c the difference
+drops below p**a.  The classes of p**(a+1) refine those of p**a, which
+places the next power on each progression.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class LiftSolutions:
     Each branch follows one of the two index progressions of
     p**power_exp: k_base counts steps along the progression through the
     first occurrence, k_offset along the progression through its dual.
-    A branch is None when its linear congruence has no solution.
+    A branch is None when the next power divides no element on it.
     """
 
     k_offset: int | None
@@ -184,44 +186,36 @@ def _sqrt_mod_prime(n: int, p: int) -> int | None:
     return root
 
 
-def _root_classes(c: int, p: int, k: int) -> tuple[int, tuple[int, ...]] | None:
-    """Roots of X**2 == -c (mod p**k) for an odd prime p, as residues
-    modulo some m dividing p**k; None when there is no root.
-
-    With nu the valuation of c at p: for nu >= k the roots are the
-    multiples of p**ceil(k/2); for odd nu < k there are none; otherwise
-    X = p**(nu/2) * Y with Y**2 == -c/p**nu (mod p**(k - nu)).
-    """
-    nu = _valuation(c, p)
-    if nu >= k:
-        return p ** ((k + 1) // 2), (0,)
-    if nu % 2:
-        return None
-    unit = c // p**nu
-    y = _sqrt_mod_prime(-unit, p)
-    if y is None:
-        return None
-    target, mod = p ** (k - nu), p
-    while mod < target:
-        # Newton step: doubles the p-adic precision of the root
-        mod = min(mod * mod, target)
-        y = (y - (y * y + unit) * pow(2 * y, -1, mod)) % mod
-    h = p ** (nu // 2)
-    m = h * target
-    return m, (h * y % m, -h * y % m)
-
-
 def _index_classes(params: EcParams, p: int, k: int) -> tuple[int, tuple[int, ...]] | None:
     """Index classes of the elements of E_c divisible by p**k, for an odd
-    prime p, as (m, sorted residues j mod m); None when there are none.
+    prime p, as (m, sorted residues j mod m) with m dividing p**k; None
+    when there are none.
 
-    A root class s (mod m) of X**2 == -c (mod p**k) holds the abscissae
-    X = 2j + r with j == (s - r) / 2 (mod m), and m is odd.
+    The abscissae X = 2j + r of those elements are the roots of
+    X**2 == -c (mod p**k).  With nu the valuation of c at p: for nu >= k
+    they are the multiples of p**ceil(k/2); for odd nu < k there are
+    none; otherwise X = +-p**(nu/2) * Y with Y**2 == -c/p**nu
+    (mod p**(k - nu)).  A root class s (mod m) holds the indices
+    j == (s - r) / 2 (mod m), and m is odd.
     """
-    classes = _root_classes(params.c, p, k)
-    if classes is None:
-        return None
-    m, roots = classes
+    c = params.c
+    nu = _valuation(c, p)
+    if nu >= k:
+        m, roots = p ** ((k + 1) // 2), (0,)
+    else:
+        if nu % 2:
+            return None
+        unit = c // p**nu
+        y = _sqrt_mod_prime(-unit, p)
+        if y is None:
+            return None
+        target, mod = p ** (k - nu), p
+        while mod < target:
+            # Newton step: doubles the p-adic precision of the root
+            mod = min(mod * mod, target)
+            y = (y - (y * y + unit) * pow(2 * y, -1, mod)) % mod
+        h = p ** (nu // 2)
+        m, roots = h * target, (h * y, -h * y)
     half = (m + 1) // 2
     return m, tuple(sorted({(s - params.r) * half % m for s in roots}))
 
@@ -229,28 +223,27 @@ def _index_classes(params: EcParams, p: int, k: int) -> tuple[int, tuple[int, ..
 def first_occurrence(params: EcParams, a: int) -> FirstHit | None:
     """Smallest element of E_c divisible by the odd modulus a, if any.
 
-    Solves X**2 == -c (mod a) exactly and takes the smallest root of the
-    family parity, which is at most a.  The cost is polylogarithmic in a
-    apart from Pollard rho on a composite left after trial division.
-    None means a divides no element at all; OverflowError means the
-    first hit leaves the 63-bit range.
+    Combines the index classes of the prime powers of a by the CRT and
+    takes the smallest index, which is below a.  The cost is
+    polylogarithmic in a apart from Pollard rho on a composite left
+    after trial division.  None means a divides no element at all;
+    OverflowError means the first hit leaves the 63-bit range.
     """
     if a < 1 or a % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 1, got {a}")
     if a > INT63_MAX:
         raise OverflowError(f"modulus {a} exceeds the 63-bit range")
     c, r = params.c, params.r
-    modulus, roots = 1, [0]
+    modulus, indices = 1, [0]
     for p, k in _factor(a).items():
-        classes = _root_classes(c, p, k)
+        classes = _index_classes(params, p, k)
         if classes is None:
             return None
         m, residues = classes
         inv = pow(modulus, -1, m)
-        roots = [s + modulus * ((t - s) * inv % m) for s in roots for t in residues]
+        indices = [s + modulus * ((t - s) * inv % m) for s in indices for t in residues]
         modulus *= m
-    # s and s + modulus cover both parities since the modulus is odd
-    x0 = min(s if s % 2 == r else s + modulus for s in roots)
+    x0 = 2 * min(indices) + r
     if x0 > math.isqrt(INT63_MAX - c):
         raise OverflowError(
             f"first element divisible by {a} leaves the 63-bit range"
@@ -314,22 +307,15 @@ def power_plan(params: EcParams, p: int, power_exp: int) -> PowerPlan | None:
                      val_c=_valuation(params.c, p))
 
 
-def _solve_linear(const: int, slope: int, p: int) -> int | None:
-    # slope * k + const == 0 (mod p)
-    if slope == 0:
-        return 0 if const == 0 else None
-    return (-const) * pow(slope, -1, p) % p
-
-
 def lift_solutions(params: EcParams, p: int, power_exp: int,
                    hit: FirstHit) -> LiftSolutions:
     """Where the next power p**(power_exp + 1) lands on each progression.
 
     hit must be the first occurrence of p**power_exp, and p**power_exp
-    must not divide c.  On each of the two index progressions of
-    p**power_exp the elements divisible by the next power sit at step
-    counts k solving a linear congruence mod p; the returned residues
-    identify them (None for an unsolvable branch).
+    must not divide c.  The index classes of the next power (mod m*p)
+    refine those of p**power_exp (mod m); a branch reads the one inside
+    its class as the step count k (mod p) along its progression, from
+    hit.j0 for k_base and from the other residue for k_offset.
     """
     _check_prime_power(p, power_exp)
     a = p**power_exp
@@ -338,12 +324,11 @@ def lift_solutions(params: EcParams, p: int, power_exp: int,
     if params.c % a == 0:
         raise ValueError(f"{p}**{power_exp} divides c = {params.c}; "
                          "the two branches degenerate")
-    x0, b = hit.x0, hit.cofactor_b
-    gamma = _valuation(x0, p)
-    pg = p**gamma
-    pad = a // pg
-    shift = (-x0) % pad
-    u = shift // pg
-    k_offset = _solve_linear((b + 4 * u * ((x0 + shift) // pad)) % p, 4 * u % p, p)
-    k_base = _solve_linear(b % p, 4 * (x0 // pg) % p, p)
-    return LiftSolutions(k_offset=k_offset, k_base=k_base)
+    m, residues = _index_classes(params, p, power_exp)
+    _, lifted = _index_classes(params, p, power_exp + 1)
+
+    def steps(start: int) -> int | None:
+        return next(((s - start) // m for s in lifted if (s - start) % m == 0), None)
+
+    dual = next(j for j in residues if j != hit.j0 % m)
+    return LiftSolutions(k_offset=steps(dual), k_base=steps(hit.j0))

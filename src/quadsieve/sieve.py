@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .core import EcParams, element_at, is_prime
 from .progressions import _index_classes
-from .uz import special_pair_one, special_pair_two
+from .uz import _exact_terms, special_pair_one, special_pair_two
 
 class SieveError(RuntimeError):
     """A factorization step or the run's D contradicted what the
@@ -175,11 +175,7 @@ def _crosscheck_pairs(params: EcParams) -> None:
     for pair in (special_pair_one(params), special_pair_two(params)):
         if pair is None:
             continue
-        window = [
-            (pair.acc * n * (n - 1) + pair.step0 * n + pair.u0,
-             pair.acc * n * (n - 1) + pair.z_step * n + pair.z0)
-            for n in range(-5, 7)
-        ]
+        window = [_exact_terms(pair, n) for n in range(-5, 7)]
         for n, ((u, z), (_, z_next)) in enumerate(zip(window, window[1:]), -5):
             if u * u + params.c != z * z_next:
                 raise SieveError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import INT63_MAX, EcParams
+from .core import INT63_MAX, EcParams, index_of
 from .progressions import FirstHit
 
 
@@ -51,12 +51,17 @@ class UZPair:
 
     def terms(self, n: int) -> tuple[int, int]:
         """(U_n, Z_n) at any integer n; OverflowError past the 63-bit cap."""
-        w = n * (n - 1)
-        u = self.acc * w + self.step0 * n + self.u0
-        z = self.acc * w + self.z_step * n + self.z0
+        u, z = _exact_terms(self, n)
         if max(abs(u), abs(z)) > INT63_MAX:
             raise OverflowError(f"pair terms at n = {n} exceed the 63-bit range")
         return u, z
+
+
+def _exact_terms(pair: UZPair, n: int) -> tuple[int, int]:
+    """(U_n, Z_n) over the integers, with no range check."""
+    w = n * (n - 1)
+    return (pair.acc * w + pair.step0 * n + pair.u0,
+            pair.acc * w + pair.z_step * n + pair.z0)
 
 
 def _pair(c: int, u0: int, z0: int) -> UZPair:
@@ -71,8 +76,7 @@ def _pair(c: int, u0: int, z0: int) -> UZPair:
 def pair_from_factorization(params: EcParams, x: int, a: int) -> UZPair:
     """Pair whose n = 0 terms realize x**2 + c = a * b: U_0 = x, Z_0 = a,
     Z_1 = b."""
-    if x < 0 or x % 2 != params.r:
-        raise ValueError(f"abscissa {x} does not belong to E_{params.c}")
+    index_of(params, x)
     return _pair(params.c, x, a)
 
 
@@ -86,6 +90,8 @@ def family_coeffs(params: EcParams, hit: FirstHit, base_j: int, k: int) -> UZPai
     equal to the modulus, so the Z side tracks its cofactors along the
     progression.
     """
+    if base_j < 0 or k < 0:
+        raise ValueError(f"base_j and k must be >= 0, got base_j = {base_j}, k = {k}")
     a = hit.modulus_a
     x0 = 2 * (base_j % a) + params.r
     if (x0 * x0 + params.c) % a != 0:

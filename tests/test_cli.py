@@ -211,6 +211,14 @@ def test_uz_demo_family_rejects_absent_divisor(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [("--base-j", "-1"), ("--k", "-3")])
+def test_uz_demo_family_rejects_negative_index_or_step(capsys, flag):
+    assert run_cli("uz-demo", "--c", "1", "--which", "family", "--A", "5", *flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_uz_demo_family_answers_large_absent_divisor_at_once(capsys):
     # 2**61 - 1 is a prime = 3 (mod 4), so -1 has no square root modulo it
     t0 = time.perf_counter()

@@ -236,37 +236,52 @@ def test_lift_solutions_rejects_degenerate():
 
 def test_lift_solutions_predict_next_power_hits():
     # walking k along either dual progression, the predicted k classes
-    # are exactly where the next power divides
-    for c in (1, 2, 4, 6, 10):
+    # are exactly where the next power divides; at power_exp = 3 the
+    # valuation 2 of c = 18, 45 (p = 3), 50 (p = 5) and 98 (p = 7) drops
+    # the difference below p**power_exp
+    for c in (1, 2, 4, 6, 10, 18, 45, 50, 98):
         params = make_params(c)
         for p in (3, 5, 7, 13):
+            for power_exp in (1, 2, 3):
+                if c % p**power_exp == 0:
+                    continue
+                hit = first_occurrence(params, p**power_exp)
+                if hit is None:
+                    continue
+                dp = dual_for_prime_power(params, p, power_exp)
+                m, case = dp.difference, (c, p, power_exp)
+                sol = lift_solutions(params, p, power_exp, hit)
+                j_dual = next(rho for rho in dp.residues if rho != hit.j0 % m)
+                j_hi = 3 * m * p
+                lifted = brute_hit_indices(c, p ** (power_exp + 1), j_hi)
+                predicted = set()
+                for start, k_class in ((hit.j0, sol.k_base), (j_dual, sol.k_offset)):
+                    if k_class is not None:
+                        predicted |= set(range(start + m * k_class, j_hi + 1, m * p))
+                assert predicted == lifted, case
+                assert ((sol.k_base is not None) or (sol.k_offset is not None)) == bool(
+                    lifted
+                ), case
+
+
+def test_lift_solutions_solve_the_papers_congruences():
+    # for p not dividing c, with u = p - x0 and b the cofactor of the
+    # first hit: 4*x0*k_base + b == 0 and 4*u*(k_offset + 1) + b == 0 (mod p)
+    checked = 0
+    for c in range(1, 80):
+        params = make_params(c)
+        for p in ODD_PRIMES_50:
             if c % p == 0:
                 continue
             hit = first_occurrence(params, p)
             if hit is None:
                 continue
-            dp = dual_for_prime(params, p)
             sol = lift_solutions(params, p, 1, hit)
-            j_dual = next(rho for rho in dp.residues if rho != hit.j0 % p) \
-                if len(dp.residues) == 2 else hit.j0 % p
-            lifted = brute_hit_indices(c, p * p, 3 * p * p)
-            predicted = set()
-            if sol.k_base is not None:
-                predicted |= {
-                    hit.j0 + p * k
-                    for k in range(3 * p)
-                    if k % p == sol.k_base and hit.j0 + p * k <= 3 * p * p
-                }
-            if sol.k_offset is not None:
-                predicted |= {
-                    j_dual + p * k
-                    for k in range(3 * p)
-                    if k % p == sol.k_offset and j_dual + p * k <= 3 * p * p
-                }
-            assert predicted == lifted, (c, p)
-            assert ((sol.k_base is not None) or (sol.k_offset is not None)) == bool(
-                lifted
-            )
+            x0, b, u = hit.x0, hit.cofactor_b, p - hit.x0
+            assert (4 * x0 * sol.k_base + b) % p == 0, (c, p)
+            assert (4 * u * (sol.k_offset + 1) + b) % p == 0, (c, p)
+            checked += 1
+    assert checked > 300
 
 
 # c with square prime-power factors, whose root classes mod p^k have a

@@ -137,6 +137,10 @@ def test_family_rejects_index_off_progression():
     hit = first_occurrence(p1, 5)
     with pytest.raises(ValueError):
         family_coeffs(p1, hit, hit.j0 + 1, 0)
+    # -1 reduces to index 4, which is on a progression of 5
+    for base_j, k in ((-1, 0), (hit.j0, -3)):
+        with pytest.raises(ValueError):
+            family_coeffs(p1, hit, base_j, k)
 
 
 def test_family_consistency_grid():
