@@ -312,10 +312,12 @@ def lift_solutions(params: EcParams, p: int, power_exp: int,
     """Where the next power p**(power_exp + 1) lands on each progression.
 
     hit must be the first occurrence of p**power_exp, and p**power_exp
-    must not divide c.  The index classes of the next power (mod m*p)
-    refine those of p**power_exp (mod m); a branch reads the one inside
-    its class as the step count k (mod p) along its progression, from
-    hit.j0 for k_base and from the other residue for k_offset.
+    must not divide c; a hit whose index holds no multiple of
+    p**power_exp raises ValueError.  The index classes of the next power
+    (mod m*p) refine those of p**power_exp (mod m); a branch reads the
+    one inside its class as the step count k (mod p) along its
+    progression, from hit.j0 for k_base and from the other residue for
+    k_offset.
     """
     _check_prime_power(p, power_exp)
     a = p**power_exp
@@ -324,7 +326,10 @@ def lift_solutions(params: EcParams, p: int, power_exp: int,
     if params.c % a == 0:
         raise ValueError(f"{p}**{power_exp} divides c = {params.c}; "
                          "the two branches degenerate")
-    m, residues = _index_classes(params, p, power_exp)
+    classes = _index_classes(params, p, power_exp)
+    if classes is None or hit.j0 % classes[0] not in classes[1]:
+        raise ValueError(f"index {hit.j0} holds no multiple of {a} for c = {params.c}")
+    m, residues = classes
     _, lifted = _index_classes(params, p, power_exp + 1)
 
     def steps(start: int) -> int | None:

@@ -12,8 +12,10 @@ the quadratic sieve treats polynomial values.  The calendar files
 nothing past the run's last index.  Past the head the same loop takes
 its due primes from a progression table built from the calendar's
 entries, so a run that ends inside the head never builds it and never
-imports numpy.  Its slots are (prime, next index) pairs, and each step
-scans them once for hits.  One bound serves every index, max(limit,
+imports numpy.  Its slots are (prime, next index) pairs in two columns,
+the index a 4-byte int32 that holds j_max + 1 for a hit past the run,
+and each step compares every slot once; slots that can no longer fire
+stay in the scan.  One bound serves every index, max(limit,
 X - 1): a cofactor at or below it means a due prime was missed.  A
 prime whose classes miss the head is divided out at its first hit past
 it instead of being found there as a new cofactor; the records are the
@@ -113,31 +115,42 @@ def _next_hits(p: int, j: int, r: int) -> list[int]:
 class SieveState:
     """Progression table for one run past the head.
 
-    Slot i is one progression: the prime _prime[i] and the next index
-    _next[i] it divides.  due, the head's calendar, maps indices in
-    (threshold, j_max] to the primes due there; each (index, prime) pair
-    is a slot.  A later prime opens at most two slots and each index
-    past the head brings at most one, so the arrays have room for
-    2 * (j_max - threshold) more.  Unlike the calendar, registrations
-    also open slots due past j_max, which never fire.  The table keeps
-    no set of its primes: a prime registered at index j is at least
-    X = 2j + r, and an odd prime p >= X that divides N_j divides no
-    earlier element, since p | N_j - N_i = 4(j - i)(i + j + r) with both
-    factors below p, so it is neither a calendar prime nor an earlier
-    registration.  One vectorized comparison per element finds every
-    due slot.  The table is the one user of numpy, which it imports
+    Slot i is one progression: the prime _prime[i], an int64 since a
+    cofactor prime reaches about 4 * j_max**2 + c, and the next index
+    _next[i] it divides, an int32.  due, the head's calendar, maps
+    indices in (threshold, j_max] to the primes due there; each (index,
+    prime) pair is a slot.  A later prime opens at most two slots and
+    each index past the head brings at most one, so the arrays have room
+    for 2 * (j_max - threshold) more.  Unlike the calendar, registrations
+    also open slots due past j_max.  Such a slot, like one that moves
+    past j_max, holds j_max + 1, an index the loop never reaches: it
+    never fires but stays in the scan.  Dropping those dead slots would
+    shorten the scan and change the scaling that acceptance criterion 7
+    times, which is left open.  Every element up to j_max lies inside
+    the 63-bit range, so j_max < 1.6e9 and j_max + 1 fits the int32
+    column; a larger j_max raises OverflowError before any column is
+    built.  The table keeps no set of its primes: a prime registered at
+    index j is at least X = 2j + r, and an odd prime p >= X that divides
+    N_j divides no earlier element, since p | N_j - N_i =
+    4(j - i)(i + j + r) with both factors below p, so it is neither a
+    calendar prime nor an earlier registration.  One vectorized
+    comparison per element finds every due slot, and scalar writes move
+    each one on.  The table is the one user of numpy, which it imports
     when it is built, so runs that end inside the head never load it.
     """
 
     def __init__(self, params: EcParams, j_max: int, due: Mapping[int, list[int]]):
         import numpy as np
 
+        # every index the scan compares, j_max + 1 included, is an int32
+        if j_max + 1 > np.iinfo(np.int32).max:
+            raise OverflowError(f"j_max {j_max} leaves the int32 index column")
         self.params = params
         self.j_max = j_max
         primes = [p for ps in due.values() for p in ps]
         self._size = len(primes)
         slots = self._size + 2 * (j_max - params.j_threshold)
-        self._next = np.empty(slots, dtype=np.int64)
+        self._next = np.empty(slots, dtype=np.int32)
         self._prime = np.empty(slots, dtype=np.int64)
         self._next[: self._size] = [k for k, ps in due.items() for _ in ps]
         self._prime[: self._size] = primes
@@ -145,24 +158,30 @@ class SieveState:
     def register_prime(self, p: int, j_found: int) -> RegisteredPrime:
         """Open a slot at each next hit of an odd prime p first seen at
         index j_found past the head, see _next_hits, whatever that hit: a
-        slot due past j_max stays in the scan and never fires.  The
-        caller passes a prime seen for the first time, which the table
-        does not check: a prime registered twice opens its slots twice.
+        slot due past j_max is stored at j_max + 1, stays in the scan and
+        never fires.  The caller passes a prime seen for the first time,
+        which the table does not check: a prime registered twice opens
+        its slots twice.
         """
         next_hits = _next_hits(p, j_found, self.params.r)
-        i, end = self._size, self._size + len(next_hits)
-        self._next[i:end] = next_hits
-        self._prime[i:end] = p
-        self._size = end
+        i = self._size
+        for k in next_hits:
+            self._next[i] = min(k, self.j_max + 1)
+            self._prime[i] = p
+            i += 1
+        self._size = i
         return RegisteredPrime(next_hits)
 
     def pop_due(self, j: int) -> list[int]:
         """The primes of the slots due at index j, in slot order; each of
-        those slots moves on to its next hit."""
-        due = (self._next[: self._size] == j).nonzero()[0]
-        primes = self._prime[due]
-        self._next[due] += primes
-        return primes.tolist()
+        those slots moves on to its next hit, or to j_max + 1 past j_max."""
+        nxt, prime, stop = self._next, self._prime, self.j_max + 1
+        primes = []
+        for i in (nxt[: self._size] == j).nonzero()[0].tolist():
+            p = prime.item(i)
+            nxt[i] = min(j + p, stop)
+            primes.append(p)
+        return primes
 
 
 def _crosscheck_pairs(params: EcParams) -> None:

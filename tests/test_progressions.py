@@ -7,6 +7,7 @@ import pytest
 
 from quadsieve import (
     INT63_MAX,
+    FirstHit,
     dual_for_prime,
     dual_for_prime_power,
     first_occurrence,
@@ -232,6 +233,15 @@ def test_lift_solutions_rejects_degenerate():
     p1 = make_params(1)
     with pytest.raises(ValueError):
         lift_solutions(p1, 5, 2, first_occurrence(p1, 5))
+
+
+def test_lift_solutions_rejects_a_hit_that_is_not_a_hit():
+    # at c = 1, 3 divides no element and 5 does not divide N_0 = 1
+    p1 = make_params(1)
+    with pytest.raises(ValueError, match="index 0 holds no multiple of 3"):
+        lift_solutions(p1, 3, 1, FirstHit(3, 0, 0, 0))
+    with pytest.raises(ValueError, match="index 0 holds no multiple of 5"):
+        lift_solutions(p1, 5, 1, FirstHit(5, 7, 0, 0))
 
 
 def test_lift_solutions_predict_next_power_hits():

@@ -6,12 +6,14 @@ from math import isqrt
 import pytest
 
 from quadsieve import (
+    INT63_MAX,
     SieveError,
     SieveState,
     atkin_primes,
     brute_sets,
     element_at,
     factorizations,
+    is_prime,
     make_params,
     run_sieve,
     sieve,
@@ -209,6 +211,65 @@ def test_pop_due_matches_brute_force():
         for p in due:
             if j + p <= bound:
                 assert p in popped[j + p]
+
+
+@pytest.mark.parametrize("c", [1, 4])
+def test_pop_due_never_fires_slots_past_j_max(c):
+    # slots whose next hits lie past the bound, some past 2**31 and up
+    # to 2**63, sit between ordinary slots: they keep their place in
+    # the scan and never fire, while next_hits reports the true indices
+    params = make_params(c)
+    rng = random.Random(c)
+    primes = [p for p in atkin_primes(4000)[1:] if sieve._index_classes(params, p, 1)]
+    bound = 3 * max(primes)
+    starts = (bound + 1000, bound + 5000, 2**31, 2**32)
+    past = [next(q for q in range(n | 1, n + 1000, 2) if is_prime(q)) for n in starts]
+    past += [2**31 - 1, 2**63 - 25]
+    assert all(is_prime(q) for q in past)
+    order = [(p, False) for p in primes] + [(q, True) for q in past]
+    rng.shuffle(order)
+    st = SieveState(params, bound, {})
+    slots = []
+    for p, dead in order:
+        j_found = rng.randrange(50) if dead else sieve._index_classes(params, p, 1)[1][0]
+        rec = st.register_prime(p, j_found)
+        assert rec.next_hits[0] == j_found + p
+        if dead:
+            assert min(rec.next_hits) > bound
+        slots += [(p, first) for first in rec.next_hits]
+    expected = {j: [] for j in range(bound + 1)}
+    for p, first in slots:
+        for j in range(first, bound + 1, p):
+            expected[j].append(p)
+    popped = {j: st.pop_due(j) for j in range(bound + 1)}
+    assert popped == expected
+    assert not set(past) & {p for due in popped.values() for p in due}
+
+
+def test_pop_due_stops_a_slot_moving_past_int32_at_j_max_plus_one():
+    # c = 4e9 + 1 has its head up to index 1e9, so a run to 1e9 + 100
+    # stays inside 63 bits; a prime first seen just past the head fires
+    # at its dual index and then moves to j + p, past 2**31
+    params = make_params(4 * 10**9 + 1)
+    j_max = params.j_threshold + 100
+    element_at(params, j_max)
+    j_found = params.j_threshold + 1
+    p = next(q for q in range(2 * j_found + 1, 2 * j_found + 1000, 2) if is_prime(q))
+    st = SieveState(params, j_max, {})
+    dual = st.register_prime(p, j_found).next_hits[1]
+    assert dual <= j_max < 2**31 < dual + p
+    popped = {j: st.pop_due(j) for j in range(j_found + 1, j_max + 1)}
+    assert popped == {j: [p] if j == dual else [] for j in popped}
+
+
+def test_element_at_overflows_before_the_int32_index_column():
+    # the table stores j_max + 1 in an int32, and no run that stays in
+    # the 63-bit range gets near it: element_at refuses j = 2**31 - 2
+    for c in (1, INT63_MAX):
+        with pytest.raises(OverflowError):
+            element_at(make_params(c), 2**31 - 2)
+    with pytest.raises(OverflowError, match="int32"):
+        SieveState(make_params(1), 2**31 - 1, {})
 
 
 def test_records_on_the_grid_are_pinned():
