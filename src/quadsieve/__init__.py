@@ -3,10 +3,11 @@ E_c = {X^2 + c : X of parity opposite to c}.
 
 Element values are factored in index order by following the one or two
 arithmetic progressions of indices attached to every odd prime divisor,
-so each element is divided only by the primes due at its index: in a
-small head range those of the root classes of X^2 = -c, held in a
-calendar, and past it those of a progression table, where each new
-prime appears exactly once.  Companion modules construct the
+so each element is divided only by the primes due at its index: those
+of the root classes of X^2 = -c up to the square root of the last
+element of a small head range, held in a calendar to the run's end, and
+past the head also those of a progression table, where each prime first
+seen there appears exactly once.  Companion modules construct the
 first-occurrence data and dual progressions directly, build the
 quadratic sequence pairs (U_n, Z_n) whose products
 Z_n * Z_{n+1} = U_n^2 + c generate factorizations, and provide a

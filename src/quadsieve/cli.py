@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_n_range,
         default=(0, 5),
         metavar="LO..HI",
-        help="term range (write --n=-2..2 for a negative bound)",
+        help="term range; a negative bound works as --n -2..2 or --n=-2..2",
     )
     demo.add_argument(
         "--A",
@@ -162,32 +162,32 @@ def _cmd_run(args) -> int:
         if not marks:
             raise ValueError("checkpoints must name at least one index")
     params = make_params(args.c)
-    # checked before any output file is opened, so a rejected run writes none
+    # checked before any output file is opened, so a rejected run writes none;
+    # both are opened before the sieve starts, so an unwritable path fails at once
     validate_run(params, args.j_max, marks)
     path = args.factorizations
-    with open(path, "w") if path else nullcontext() as fh:
+    with (
+        open(path, "w") if path else nullcontext() as fh,
+        open(args.stats, "w") if args.stats else nullcontext(sys.stdout) as stats,
+    ):
         if fh:
             fh.write("j,X,N,factorization\n")
         row = lambda rec: fh.write(f"{_render_record(rec)}\n")
         out = run_sieve(
             params, args.j_max, marks, on_record=row if fh else None, verify=args.verify
         )
-    rows = [
-        (cp.j, cp.p_count, cp.d_count, f"{cp.elapsed_seconds:.3f}")
-        for cp in out.checkpoints
-    ]
-    if args.format == "csv":
-        text = "J,P_count,D_count,elapsed_seconds\n"
-        text += "".join(f"{j},{p},{d},{t}\n" for j, p, d, t in rows)
-    else:
-        keys = ("J", "p_count", "d_count", "elapsed_seconds")
-        dicts = [dict(zip(keys, (j, p, d, float(t)))) for j, p, d, t in rows]
-        text = json.dumps(dicts, indent=2) + "\n"
-    if args.stats:
-        with open(args.stats, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        rows = [
+            (cp.j, cp.p_count, cp.d_count, f"{cp.elapsed_seconds:.3f}")
+            for cp in out.checkpoints
+        ]
+        if args.format == "csv":
+            text = "J,P_count,D_count,elapsed_seconds\n"
+            text += "".join(f"{j},{p},{d},{t}\n" for j, p, d, t in rows)
+        else:
+            keys = ("J", "p_count", "d_count", "elapsed_seconds")
+            dicts = [dict(zip(keys, (j, p, d, float(t)))) for j, p, d, t in rows]
+            text = json.dumps(dicts, indent=2) + "\n"
+        stats.write(text)
     if path and args.verify:
         _audit_factorization_file(path)
     return 0

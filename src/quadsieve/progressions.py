@@ -86,11 +86,10 @@ class LiftSolutions:
     Each branch follows one of the two index progressions of
     p**power_exp: k_base counts steps along the progression through the
     first occurrence, k_offset along the progression through its dual.
-    A branch is None when the next power divides no element on it.
     """
 
-    k_offset: int | None
-    k_base: int | None
+    k_offset: int
+    k_base: int
 
 
 def _valuation(n: int, p: int) -> int:
@@ -317,7 +316,9 @@ def lift_solutions(params: EcParams, p: int, power_exp: int,
     (mod m*p) refine those of p**power_exp (mod m); a branch reads the
     one inside its class as the step count k (mod p) along its
     progression, from hit.j0 for k_base and from the other residue for
-    k_offset.
+    k_offset.  There is always exactly one: with p**power_exp not
+    dividing c, each root of X**2 == -c (mod p**power_exp) is p**(v/2)
+    times a unit root, v = v_p(c), whose Hensel lift is unique.
     """
     _check_prime_power(p, power_exp)
     a = p**power_exp
@@ -332,8 +333,8 @@ def lift_solutions(params: EcParams, p: int, power_exp: int,
     m, residues = classes
     _, lifted = _index_classes(params, p, power_exp + 1)
 
-    def steps(start: int) -> int | None:
-        return next(((s - start) // m for s in lifted if (s - start) % m == 0), None)
+    def steps(start: int) -> int:
+        return next((s - start) // m for s in lifted if (s - start) % m == 0)
 
     dual = next(j for j in residues if j != hit.j0 % m)
     return LiftSolutions(k_offset=steps(dual), k_base=steps(hit.j0))

@@ -3,23 +3,22 @@
 Elements are processed in index order.  Each is divided, to full
 powers, by exactly the primes due at its index, which leaves 1 or one
 new prime; the new prime is filed at its next index in each of its root
-classes, and each due prime again p indices on.  Up to the parameter
-threshold, the head, the schedule is a calendar (O'Neill's incremental
+classes, and each due prime again p indices on.  The head's primes, up
+to the parameter threshold, live in a calendar (O'Neill's incremental
 sieve): a dict from each index to the primes due there, seeded with the
 first index of each class on which X**2 == -c (mod p) for every odd
 prime p up to limit, the square root of the last head element, the way
-the quadratic sieve treats polynomial values.  The calendar files
-nothing past the run's last index.  Past the head the same loop takes
-its due primes from a progression table built from the calendar's
-entries, so a run that ends inside the head never builds it and never
-imports numpy.  Its slots are (prime, next index) pairs in two columns,
-the index a 4-byte int32 that holds j_max + 1 for a hit past the run,
-and each step compares every slot once; slots that can no longer fire
-stay in the scan.  One bound serves every index, max(limit,
-X - 1): a cofactor at or below it means a due prime was missed.  A
-prime whose classes miss the head is divided out at its first hit past
-it instead of being found there as a new cofactor; the records are the
-same.
+the quadratic sieve treats polynomial values.  It keeps them to the
+run's last index and files nothing past it.  A prime first seen past
+the head goes to a progression table that starts empty there, so a run
+that ends inside the head never builds it and never imports numpy.  Its
+slots are (prime, next index) pairs in two columns, the index a 4-byte
+int32 that holds j_max + 1 for a hit past the run, and each step
+compares every slot once; slots that can no longer fire stay in the
+scan.  One bound serves every index, max(limit, X - 1): a cofactor at
+or below it means a due prime was missed.  A prime whose classes miss
+the head is divided out at its first hit past it instead of being found
+there as a new cofactor; the records are the same.
 
 factorizations() is that single pass, yielding one record per element;
 run_sieve() tallies P, D and checkpoint rows over it, and the oracle
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
@@ -113,18 +112,17 @@ def _next_hits(p: int, j: int, r: int) -> list[int]:
 
 
 class SieveState:
-    """Progression table for one run past the head.
+    """Progression table of the primes first seen past the head.
 
     Slot i is one progression: the prime _prime[i], an int64 since a
     cofactor prime reaches about 4 * j_max**2 + c, and the next index
-    _next[i] it divides, an int32.  due, the head's calendar, maps
-    indices in (threshold, j_max] to the primes due there; each (index,
-    prime) pair is a slot.  A later prime opens at most two slots and
-    each index past the head brings at most one, so the arrays have room
-    for 2 * (j_max - threshold) more.  Unlike the calendar, registrations
-    also open slots due past j_max.  Such a slot, like one that moves
-    past j_max, holds j_max + 1, an index the loop never reaches: it
-    never fires but stays in the scan.  Dropping those dead slots would
+    _next[i] it divides, an int32.  The table starts empty and only
+    register_prime opens slots: at most two per prime, and each index
+    past the head brings at most one, so the arrays have room for
+    2 * (j_max - threshold).  Unlike the calendar, registrations also
+    open slots due past j_max.  Such a slot, like one that moves past
+    j_max, holds j_max + 1, an index the loop never reaches: it never
+    fires but stays in the scan.  Dropping those dead slots would
     shorten the scan and change the scaling that acceptance criterion 7
     times, which is left open.  Every element up to j_max lies inside
     the 63-bit range, so j_max < 1.6e9 and j_max + 1 fits the int32
@@ -139,7 +137,7 @@ class SieveState:
     when it is built, so runs that end inside the head never load it.
     """
 
-    def __init__(self, params: EcParams, j_max: int, due: Mapping[int, list[int]]):
+    def __init__(self, params: EcParams, j_max: int):
         import numpy as np
 
         # every index the scan compares, j_max + 1 included, is an int32
@@ -147,13 +145,10 @@ class SieveState:
             raise OverflowError(f"j_max {j_max} leaves the int32 index column")
         self.params = params
         self.j_max = j_max
-        primes = [p for ps in due.values() for p in ps]
-        self._size = len(primes)
-        slots = self._size + 2 * (j_max - params.j_threshold)
+        self._size = 0
+        slots = 2 * (j_max - params.j_threshold)
         self._next = np.empty(slots, dtype=np.int32)
         self._prime = np.empty(slots, dtype=np.int64)
-        self._next[: self._size] = [k for k, ps in due.items() for _ in ps]
-        self._prime[: self._size] = primes
 
     def register_prime(self, p: int, j_found: int) -> RegisteredPrime:
         """Open a slot at each next hit of an odd prime p first seen at
@@ -324,16 +319,17 @@ def _factor_pass(
     state: SieveState | None = None
     for j in range(j_max + 1):
         if j == head_end + 1:
-            # the hand-off: the calendar's entries become the table's first slots
-            state = SieveState(params, j_max, due)
+            state = SieveState(params, j_max)
         x = 2 * j + r
         n = x * x + c
+        filed = due.pop(j, ())
+        for p in filed:
+            _file(due, j + p, p, j_max)
         if state is None:
-            marked = due.pop(j, ())
-            for p in marked:
-                _file(due, j + p, p, j_max)
+            marked = filed
         else:
             marked = state.pop_due(j)
+            marked += filed
         # Every prime up to the bound that divides n is due.  In the head
         # the bound is limit >= sqrt(n).  Past it, where c < 4 * X_head_end
         # + 4 gives limit <= X - 1, it is X - 1: a prime p < X dividing N_j

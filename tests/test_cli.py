@@ -117,10 +117,23 @@ def test_run_overflowing_range(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_run_stats_io_error(tmp_path, capsys):
+def test_run_stats_io_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "missing" / "stats.csv"
     assert run_cli("run", "--c", "1", "--J", "10", "--stats", str(path)) == 1
     capsys.readouterr()
+    # the stats file is opened before the sieve starts, not after a long
+    # run, and a run that fails leaves a writable one empty
+    def fail(*args, **kwargs):
+        raise cli.SieveError("the sieve failed")
+
+    monkeypatch.setattr(cli, "run_sieve", fail)
+    assert run_cli("run", "--c", "1", "--J", "10", "--stats", str(path)) == 1
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and "the sieve failed" not in err
+    path = tmp_path / "stats.csv"
+    assert run_cli("run", "--c", "1", "--J", "10", "--stats", str(path)) == 1
+    assert "the sieve failed" in capsys.readouterr().err
+    assert path.read_text() == ""
 
 
 def test_verify_ok(capsys):

@@ -266,12 +266,9 @@ def test_lift_solutions_predict_next_power_hits():
                 lifted = brute_hit_indices(c, p ** (power_exp + 1), j_hi)
                 predicted = set()
                 for start, k_class in ((hit.j0, sol.k_base), (j_dual, sol.k_offset)):
-                    if k_class is not None:
-                        predicted |= set(range(start + m * k_class, j_hi + 1, m * p))
+                    assert isinstance(k_class, int) and 0 <= k_class < p, case
+                    predicted |= set(range(start + m * k_class, j_hi + 1, m * p))
                 assert predicted == lifted, case
-                assert ((sol.k_base is not None) or (sol.k_offset is not None)) == bool(
-                    lifted
-                ), case
 
 
 def test_lift_solutions_solve_the_papers_congruences():

@@ -91,17 +91,17 @@ def residues(rec, p):
 
 
 def test_register_prime_examples():
-    st = SieveState(make_params(1), 100, {})
+    st = SieveState(make_params(1), 100)
     rec = st.register_prime(5, 1)
     assert residues(rec, 5) == (1, 4)
-    st = SieveState(make_params(5), 100, {})
+    st = SieveState(make_params(5), 100)
     assert residues(st.register_prime(5, 0), 5) == (0,)
-    st = SieveState(make_params(4), 100, {})
+    st = SieveState(make_params(4), 100)
     assert residues(st.register_prime(5, 0), 5) == (0, 4)
 
 
 def test_register_prime_schedules_past_discovery():
-    st = SieveState(make_params(1), 100, {})
+    st = SieveState(make_params(1), 100)
     rec = st.register_prime(5, 1)
     assert rec.next_hits == [6, 4]
     assert all(nh > 1 for nh in rec.next_hits)
@@ -125,7 +125,7 @@ def test_next_hits_are_the_first_index_past_j_in_each_class():
                 if c % p == 0:
                     assert len(hits) == 1, (c, p, j)
     assert sieve._next_hits(61, 0, 0) == [61]
-    st = SieveState(make_params(1), 100, {})
+    st = SieveState(make_params(1), 100)
     with pytest.raises(ValueError, match="prime 5 is below X = 6 at index 3"):
         st.register_prime(5, 3)
 
@@ -135,17 +135,17 @@ def test_every_registration_is_a_first_sighting(monkeypatch):
     # index j is at least X = 2j + r, so it divides no earlier element
     # and is neither a calendar prime nor an earlier registration
     calendar, registered = set(), []
-    init, register = SieveState.__init__, SieveState.register_prime
+    file, register = sieve._file, SieveState.register_prime
 
-    def spy_init(self, params, j_max, due):
-        calendar.update(p for ps in due.values() for p in ps)
-        init(self, params, j_max, due)
+    def spy_file(due, k, p, j_max):
+        calendar.add(p)
+        file(due, k, p, j_max)
 
     def spy_register(self, p, j_found):
         registered.append((p, j_found))
         return register(self, p, j_found)
 
-    monkeypatch.setattr(SieveState, "__init__", spy_init)
+    monkeypatch.setattr(sieve, "_file", spy_file)
     monkeypatch.setattr(SieveState, "register_prime", spy_register)
     cases = [(c, make_params(c).j_threshold + 40) for c in range(1, 200)]
     cases += [(c, 3000) for c in (1, 4, 61)]
@@ -167,7 +167,7 @@ def test_every_registration_is_a_first_sighting(monkeypatch):
 def test_registration_keeps_no_python_objects():
     # a registration writes its slots into the arrays and nothing else:
     # a set of registered primes would grow the heap by about 100 B each
-    st = SieveState(make_params(1), 50000, {})
+    st = SieveState(make_params(1), 50000)
     primes = atkin_primes(300000)[1:20001]
     assert len(primes) == 20000
     tracemalloc.start()
@@ -189,7 +189,7 @@ def test_pop_due_matches_brute_force():
     primes = primes[:1200]
     rng.shuffle(primes)
     bound = 3 * max(primes)
-    st = SieveState(params, bound, {})
+    st = SieveState(params, bound)
     slots = []
     for p in primes:
         classes = sieve._index_classes(params, p, 1)[1]
@@ -228,7 +228,7 @@ def test_pop_due_never_fires_slots_past_j_max(c):
     assert all(is_prime(q) for q in past)
     order = [(p, False) for p in primes] + [(q, True) for q in past]
     rng.shuffle(order)
-    st = SieveState(params, bound, {})
+    st = SieveState(params, bound)
     slots = []
     for p, dead in order:
         j_found = rng.randrange(50) if dead else sieve._index_classes(params, p, 1)[1][0]
@@ -255,7 +255,7 @@ def test_pop_due_stops_a_slot_moving_past_int32_at_j_max_plus_one():
     element_at(params, j_max)
     j_found = params.j_threshold + 1
     p = next(q for q in range(2 * j_found + 1, 2 * j_found + 1000, 2) if is_prime(q))
-    st = SieveState(params, j_max, {})
+    st = SieveState(params, j_max)
     dual = st.register_prime(p, j_found).next_hits[1]
     assert dual <= j_max < 2**31 < dual + p
     popped = {j: st.pop_due(j) for j in range(j_found + 1, j_max + 1)}
@@ -269,7 +269,7 @@ def test_element_at_overflows_before_the_int32_index_column():
         with pytest.raises(OverflowError):
             element_at(make_params(c), 2**31 - 2)
     with pytest.raises(OverflowError, match="int32"):
-        SieveState(make_params(1), 2**31 - 1, {})
+        SieveState(make_params(1), 2**31 - 1)
 
 
 def test_records_on_the_grid_are_pinned():
@@ -538,28 +538,63 @@ def test_d_closed_form_check_names_the_first_wrong_prime(monkeypatch):
 
 
 def test_hand_off_to_the_progression_phase_matches_trial_division(monkeypatch):
-    # the records around J_c, where the head's calendar becomes the
-    # table and the progression phase takes over; for c = 61 the head
-    # cofactor 61 at j = 0 is its own dual and is filed once, at 61.
-    # The table receives only live slots, each past the head and due
-    # by the run's last index.
-    handed = []
-    init = SieveState.__init__
+    # the records around J_c, where the progression phase takes over;
+    # for c = 61 the head cofactor 61 at j = 0 is its own dual and is
+    # filed once, at 61.  The table is built once, empty, at J_c + 1,
+    # and the head's calendar keeps its primes to J and no key past it,
+    # so the run leaves it empty.
+    seen, built, calendars = [], [], []
+    init, file = SieveState.__init__, sieve._file
 
-    def spy(self, params, j_max, due):
-        handed.append((params.j_threshold, j_max, sorted(due)))
-        init(self, params, j_max, due)
+    def spy_init(self, params, j_max):
+        built.append((params, j_max, len(seen)))
+        init(self, params, j_max)
 
-    monkeypatch.setattr(SieveState, "__init__", spy)
+    def spy_file(due, k, p, j_max):
+        calendars[:] = [due]
+        file(due, k, p, j_max)
+
+    monkeypatch.setattr(SieveState, "__init__", spy_init)
+    monkeypatch.setattr(sieve, "_file", spy_file)
     for c in (61, 80002, 4 * 10**5 + 2, 3**12):
         params = make_params(c)
         j_c = params.j_threshold
         for rec in factorizations(params, j_c + 500):
+            seen.append(rec.j)
             if rec.j >= j_c - 100:
                 assert rec.factors == tuple(trial_factor(rec.n)), (c, rec.j)
-        (j_threshold, j_max, keys), = handed
-        assert keys and j_threshold < keys[0] and keys[-1] <= j_max, c
-        handed.clear()
+        assert built == [(params, j_c + 500, j_c + 1)], c
+        assert calendars == [{}], c
+        seen.clear()
+        built.clear()
+        calendars.clear()
+
+
+def test_every_table_slot_comes_from_register_prime(monkeypatch):
+    # the table starts empty: its slots are exactly those its
+    # registrations report, and it has room for two per index past J_c
+    tables, opened = [], []
+    init, register = SieveState.__init__, SieveState.register_prime
+
+    def spy_init(self, params, j_max):
+        tables.append(self)
+        init(self, params, j_max)
+
+    def spy_register(self, p, j_found):
+        rec = register(self, p, j_found)
+        opened.append(len(rec.next_hits))
+        return rec
+
+    monkeypatch.setattr(SieveState, "__init__", spy_init)
+    monkeypatch.setattr(SieveState, "register_prime", spy_register)
+    for c in (61, 80002, 4 * 10**5 + 2):
+        j_c = make_params(c).j_threshold
+        list(factorizations(make_params(c), j_c + 300))
+        (table,) = tables
+        assert opened and table._size == sum(opened), c
+        assert len(table._next) == len(table._prime) == 2 * 300, c
+        tables.clear()
+        opened.clear()
 
 
 def test_run_inside_the_head_builds_no_schedule(monkeypatch):
