@@ -22,7 +22,8 @@ there as a new cofactor; the records are the same.
 
 factorizations() is that single pass, yielding one record per element;
 run_sieve() tallies P, D and checkpoint rows over it, and the oracle
-and the command line consume the same stream.
+and the command line consume the same stream.  Its loop body divides,
+re-files, checks and builds each record inline.
 """
 
 from __future__ import annotations
@@ -232,16 +233,18 @@ def factorizations(
     """Factor every element with index <= j_max, yielding one record per
     element in index order.
 
-    Each element is divided by exactly the primes due at its index: in
-    the head, indices up to min(threshold, j_max), the odd primes up to
-    limit, the square root of its last element, through their root
-    classes; past it the primes of the progressions met so far.
-    Arguments are checked when this is called, not at the first record.
-    A due prime that does not divide its element, a cofactor at or below
-    max(limit, X - 1) with X = 2j + r, and a whole element that fails a
-    base-2 Fermat test each raise SieveError.  With verify on, the
-    sequence pairs are cross-checked up front and every cofactor is
-    confirmed prime with a deterministic test instead.
+    Each element is divided, to full powers, by exactly the primes due
+    at its index: in the head, indices up to min(threshold, j_max), the
+    odd primes up to limit, the square root of its last element, through
+    their root classes; past it also the primes of the progressions met
+    so far.  Arguments are checked when this is called, not at the first
+    record.  A due prime that does not divide its element, a cofactor at
+    or below max(limit, X - 1) with X = 2j + r, and a whole element that
+    fails a base-2 Fermat test each raise SieveError, whose message ends
+    with the primes due there, ascending, as in "; due: 5, 13".  With
+    verify on, the sequence pairs are cross-checked up front and every
+    cofactor is confirmed prime with a deterministic test instead of the
+    Fermat test.
     """
     validate_run(params, j_max)
     if verify:
@@ -249,62 +252,30 @@ def factorizations(
     return _factor_pass(params, j_max, verify)
 
 
-def _factor(
-    j: int, n: int, due: Collection[int], bound: int, verify: bool
-) -> tuple[list[tuple[int, int]], int]:
-    """Divide n, the element at index j, by each due prime to its full
-    power; return the factors ascending, the cofactor left included, and
-    that cofactor.
-
-    Every prime up to bound that divides n must be due, so the cofactor
-    is 1 or a prime above bound.  A due prime that does not divide n, a
-    cofactor > 1 at most bound and a cofactor that is not prime each
-    raise SieveError, which ends with the due primes.  With verify on,
-    every cofactor gets a deterministic test; without it only a whole
-    element, which P would count, gets a base-2 Fermat test.
-    """
-
-    def failure(what: str) -> SieveError:
-        primes = ", ".join(map(str, sorted(due))) or "none"
-        return SieveError(f"index {j}: {what}; due: {primes}")
-
-    factors = []
-    rem = n
-    for p in due:
-        e = 0
-        while rem % p == 0:
-            rem //= p
-            e += 1
-        if e == 0:
-            raise failure(f"prime {p} was due but does not divide {n}")
-        factors.append((p, e))
-    if rem > 1:
-        if rem <= bound:
-            raise failure(
-                f"cofactor {rem} of {n} is at most {bound}, so a due prime was missed"
-            )
-        if verify:
-            if not is_prime(rem):
-                raise failure(f"cofactor {rem} of {n} is not prime")
-        elif rem == n and pow(2, n - 1, n) != 1:
-            raise failure(f"cofactor {n} of {n} fails the base-2 Fermat test")
-        factors.append((rem, 1))
-    factors.sort()
-    return factors, rem
+def _failure(j: int, due: Iterable[int], what: str) -> SieveError:
+    """The factor-step error at index j: what went wrong, then the
+    primes due there, ascending."""
+    primes = ", ".join(map(str, sorted(due))) or "none"
+    return SieveError(f"index {j}: {what}; due: {primes}")
 
 
-def _file(due: dict[int, list[int]], k: int, p: int, j_max: int) -> None:
-    """File prime p in the calendar due at index k, unless k > j_max."""
-    if k <= j_max:
-        if k in due:
-            due[k].append(p)
-        else:
-            due[k] = [p]
+def _file(
+    due: dict[int, list[int]], indices: Iterable[int], p: int, j_max: int
+) -> None:
+    """File prime p in the calendar at each of indices up to j_max."""
+    for k in indices:
+        if k <= j_max:
+            due.setdefault(k, []).append(p)
 
 
 def _factor_pass(
     params: EcParams, j_max: int, verify: bool
 ) -> Iterator[FactorizationRecord]:
+    """The pass behind factorizations().  Each element is divided by
+    each due prime to its full power, and each calendar prime is filed
+    again p indices on.  What is left is 1 or a new prime above the
+    bound, filed at its next hits: in the calendar up to the head's end,
+    in the progression table past it."""
     c, r = params.c, params.r
     head_end = min(params.j_threshold, j_max)
     limit = isqrt(element_at(params, head_end).n)
@@ -314,37 +285,68 @@ def _factor_pass(
     for p in atkin_primes(limit)[1:]:
         classes = _index_classes(params, p, 1)
         if classes is not None:
-            for k in classes[1]:
-                _file(due, k, p, j_max)
+            _file(due, classes[1], p, j_max)
     state: SieveState | None = None
+    # builds a FactorizationRecord without the Python-level __new__ that
+    # a NamedTuple's constructor runs
+    record = tuple.__new__
     for j in range(j_max + 1):
         if j == head_end + 1:
             state = SieveState(params, j_max)
         x = 2 * j + r
         n = x * x + c
         filed = due.pop(j, ())
-        for p in filed:
-            _file(due, j + p, p, j_max)
         if state is None:
             marked = filed
         else:
             marked = state.pop_due(j)
             marked += filed
-        # Every prime up to the bound that divides n is due.  In the head
-        # the bound is limit >= sqrt(n).  Past it, where c < 4 * X_head_end
-        # + 4 gives limit <= X - 1, it is X - 1: a prime p < X dividing N_j
-        # also divides an earlier element, at index j mod p or at the dual
-        # index p - r - j (p == X only when X divides c).
-        factors, rem = _factor(j, n, marked, max(limit, x - 1), verify)
+        factors = []
+        rem = n
+        for p in marked:
+            if rem % p:
+                raise _failure(j, marked, f"prime {p} was due but does not divide {n}")
+            rem //= p
+            e = 1
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            factors.append((p, e))
+        for p in filed:
+            if j + p <= j_max:
+                due.setdefault(j + p, []).append(p)
         if rem > 1:
+            # Every prime up to the bound max(limit, X - 1) that divides n
+            # is due.  In the head the bound is limit >= sqrt(n).  Past it,
+            # where c < 4 * X_head_end + 4 gives limit <= X - 1, it is
+            # X - 1: a prime p < X dividing N_j also divides an earlier
+            # element, at index j mod p or at the dual index p - r - j
+            # (p == X only when X divides c).
+            if rem <= limit or rem < x:
+                bound = max(limit, x - 1)
+                what = f"cofactor {rem} of {n} is at most {bound}, so a due prime was missed"
+                raise _failure(j, marked, what)
+            # With verify on every cofactor gets a deterministic test;
+            # without it only a whole element, which P would count, gets
+            # a base-2 Fermat test.
+            if verify:
+                if not is_prime(rem):
+                    raise _failure(j, marked, f"cofactor {rem} of {n} is not prime")
+            elif rem == n and pow(2, n - 1, n) != 1:
+                raise _failure(
+                    j, marked, f"cofactor {n} of {n} fails the base-2 Fermat test"
+                )
+            factors.append((rem, 1))
             # A first sighting: rem > bound >= X - 1 and, if prime, it
             # divides no earlier element (see SieveState).
             if state is None:
-                for k in _next_hits(rem, j, r):
-                    _file(due, k, rem, j_max)
+                # the dual index rem - r - j is the nearer next hit
+                if rem - r - j <= j_max:
+                    _file(due, _next_hits(rem, j, r), rem, j_max)
             else:
                 state.register_prime(rem, j)
-        yield FactorizationRecord(j, x, n, tuple(factors))
+        factors.sort()
+        yield record(FactorizationRecord, (j, x, n, tuple(factors)))
 
 
 def run_sieve(

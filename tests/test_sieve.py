@@ -137,9 +137,9 @@ def test_every_registration_is_a_first_sighting(monkeypatch):
     calendar, registered = set(), []
     file, register = sieve._file, SieveState.register_prime
 
-    def spy_file(due, k, p, j_max):
+    def spy_file(due, indices, p, j_max):
         calendar.add(p)
-        file(due, k, p, j_max)
+        file(due, indices, p, j_max)
 
     def spy_register(self, p, j_found):
         registered.append((p, j_found))
@@ -496,6 +496,28 @@ def test_head_mark_that_misses_its_element_raises(monkeypatch):
         run_sieve(make_params(61), 15)
 
 
+@pytest.mark.parametrize(
+    "c, j, message",
+    [
+        # J_c = 0: the table's 5 divides N_4 = 65 = 5 * 13, the added 3
+        # does not divide the 13 left, and the due primes are sorted
+        (1, 4, "index 4: prime 3 was due but does not divide 65; due: 3, 5"),
+        # J_c = 15: the added 3 comes before the calendar's 11 that
+        # divides N_20 = 1661 = 11 * 151, and both are named
+        (61, 20, "index 20: prime 3 was due but does not divide 1661; due: 3, 11"),
+    ],
+)
+def test_due_prime_that_misses_its_element_past_the_head_raises(monkeypatch, c, j, message):
+    pop_due = SieveState.pop_due
+    monkeypatch.setattr(
+        SieveState, "pop_due", lambda self, i: pop_due(self, i) + ([3] if i == j else [])
+    )
+    assert j > make_params(c).j_threshold
+    with pytest.raises(SieveError) as err:
+        run_sieve(make_params(c), j + 10)
+    assert str(err.value) == message
+
+
 def test_head_missed_root_class_raises(monkeypatch):
     # dropping the class j == 4 (mod 5) leaves N_4 = 125 whole, which
     # the primality test catches with verify on and the base-2 Fermat
@@ -550,9 +572,9 @@ def test_hand_off_to_the_progression_phase_matches_trial_division(monkeypatch):
         built.append((params, j_max, len(seen)))
         init(self, params, j_max)
 
-    def spy_file(due, k, p, j_max):
+    def spy_file(due, indices, p, j_max):
         calendars[:] = [due]
-        file(due, k, p, j_max)
+        file(due, indices, p, j_max)
 
     monkeypatch.setattr(SieveState, "__init__", spy_init)
     monkeypatch.setattr(sieve, "_file", spy_file)
