@@ -39,10 +39,8 @@ from .progressions import (
 from .sieve import (
     Checkpoint,
     FactorizationRecord,
-    RegisteredPrime,
     SieveError,
     SieveOutput,
-    SieveState,
     atkin_primes,
     factorizations,
     run_sieve,
@@ -83,10 +81,8 @@ __all__ = [
     "sequence_exists",
     "Checkpoint",
     "FactorizationRecord",
-    "RegisteredPrime",
     "SieveError",
     "SieveOutput",
-    "SieveState",
     "atkin_primes",
     "factorizations",
     "run_sieve",

@@ -5,11 +5,11 @@ powers, by exactly the primes due at its index, which leaves 1 or one
 new prime; the new prime is filed at its next index in each of its root
 classes, and each due prime again p indices on.  The head's primes, up
 to the parameter threshold, live in a calendar (O'Neill's incremental
-sieve): a dict from each index to the primes due there, seeded with the
-first index of each class on which X**2 == -c (mod p) for every odd
-prime p up to limit, the square root of the last head element, the way
-the quadratic sieve treats polynomial values.  It keeps them to the
-run's last index and files nothing past it.  A prime first seen past
+sieve): a dict from each index to the primes due there, which _seed
+fills with the first index of each class on which X**2 == -c (mod p)
+for every odd prime p up to limit, the square root of the last head
+element, the way the quadratic sieve treats polynomial values.  It
+keeps them to the run's last index and files nothing past it.  A prime first seen past
 the head goes to a progression table that starts empty there, so a run
 that ends inside the head never builds it and never imports numpy.  Its
 slots are (prime, next index) pairs in two columns, the index a 4-byte
@@ -48,7 +48,9 @@ class SieveError(RuntimeError):
 class RegisteredPrime(NamedTuple):
     """What register_prime opened for one odd prime, returned to the
     caller and kept by no one: next_hits holds the first index past the
-    discovery of each slot opened, see _next_hits."""
+    discovery of each slot opened, see _next_hits.  The pass ignores
+    it; the table's unit tests and the benchmark's sieve.register_prime
+    hook read it, which is why it stays."""
 
     next_hits: list[int]
 
@@ -268,24 +270,30 @@ def _file(
             due.setdefault(k, []).append(p)
 
 
-def _factor_pass(
-    params: EcParams, j_max: int, verify: bool
-) -> Iterator[FactorizationRecord]:
-    """The pass behind factorizations().  Each element is divided by
-    each due prime to its full power, and each calendar prime is filed
-    again p indices on.  What is left is 1 or a new prime above the
-    bound, filed at its next hits: in the calendar up to the head's end,
-    in the progression table past it."""
-    c, r = params.c, params.r
-    head_end = min(params.j_threshold, j_max)
-    limit = isqrt(element_at(params, head_end).n)
-    # the calendar: each index up to j_max that a known prime divides,
-    # with the primes due there
+def _seed(params: EcParams, limit: int, j_max: int) -> dict[int, list[int]]:
+    """The calendar a pass starts from: each index k <= j_max mapped to
+    the odd primes p <= limit, ascending, with k < p and p | N_k, that
+    is each such prime at the first index of each of its root classes."""
     due: dict[int, list[int]] = {}
     for p in atkin_primes(limit)[1:]:
         classes = _index_classes(params, p, 1)
         if classes is not None:
             _file(due, classes[1], p, j_max)
+    return due
+
+
+def _factor_pass(
+    params: EcParams, j_max: int, verify: bool
+) -> Iterator[FactorizationRecord]:
+    """The pass behind factorizations(), from the calendar _seed builds.
+    Each element is divided by each due prime to its full power, and
+    each calendar prime is filed again p indices on.  What is left is 1
+    or a new prime above the bound, filed at its next hits: in the
+    calendar up to the head's end, in the progression table past it."""
+    c, r = params.c, params.r
+    head_end = min(params.j_threshold, j_max)
+    limit = isqrt(element_at(params, head_end).n)
+    due = _seed(params, limit, j_max)
     state: SieveState | None = None
     # builds a FactorizationRecord without the Python-level __new__ that
     # a NamedTuple's constructor runs

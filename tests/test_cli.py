@@ -294,6 +294,7 @@ print("numpy" in sys.modules)
 
 
 def test_only_the_progression_phase_loads_numpy():
+    # pins the progression table, the one user of numpy: flips with it in stage B
     src = str(Path(quadsieve.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(

@@ -5,10 +5,10 @@ from math import isqrt
 
 import pytest
 
+import quadsieve
 from quadsieve import (
     INT63_MAX,
     SieveError,
-    SieveState,
     atkin_primes,
     brute_sets,
     element_at,
@@ -20,6 +20,7 @@ from quadsieve import (
     trial_factor,
 )
 from quadsieve.cli import render_factors
+from quadsieve.sieve import SieveState
 
 
 def eratosthenes(limit):
@@ -98,6 +99,10 @@ def test_register_prime_examples():
     assert residues(st.register_prime(5, 0), 5) == (0,)
     st = SieveState(make_params(4), 100)
     assert residues(st.register_prime(5, 0), 5) == (0, 4)
+    with pytest.raises(ValueError, match="prime 5 is below X = 6 at index 3"):
+        SieveState(make_params(1), 100).register_prime(5, 3)
+    # the table is private to the sieve, not package API
+    assert not {"SieveState", "RegisteredPrime"} & {*quadsieve.__all__, *dir(quadsieve)}
 
 
 def test_register_prime_schedules_past_discovery():
@@ -125,43 +130,79 @@ def test_next_hits_are_the_first_index_past_j_in_each_class():
                 if c % p == 0:
                     assert len(hits) == 1, (c, p, j)
     assert sieve._next_hits(61, 0, 0) == [61]
-    st = SieveState(make_params(1), 100)
     with pytest.raises(ValueError, match="prime 5 is below X = 6 at index 3"):
-        st.register_prime(5, 3)
+        sieve._next_hits(5, 3, 0)
+
+
+def test_seed_files_each_prime_at_the_first_index_of_its_classes():
+    # the calendar a pass starts from, by brute force: each index
+    # k <= J holds the odd primes p <= limit with k < p and p | N_k,
+    # ascending, for J = min(J_c, 2000) and limit = isqrt(N_J)
+    for c in [*range(1, 151), 4 * 5**8, 7**2 * 11**2 * 13]:
+        params = make_params(c)
+        j_max = min(params.j_threshold, 2000)
+        limit = isqrt(element_at(params, j_max).n)
+        ns = [element_at(params, k).n for k in range(j_max + 1)]
+        expected = {}
+        for p in eratosthenes(limit)[1:]:
+            for k in range(min(p, j_max + 1)):
+                if ns[k] % p == 0:
+                    expected.setdefault(k, []).append(p)
+        assert sieve._seed(params, limit, j_max) == expected, c
+
+
+def _with_calendar(monkeypatch, change):
+    # the pass pops the primes due at index j from the calendar _seed
+    # returns; change(j, primes) edits what it pops there
+    seed = sieve._seed
+
+    class Calendar(dict):
+        def pop(self, j, *default):
+            return change(j, list(super().pop(j, *default)))
+
+    monkeypatch.setattr(sieve, "_seed", lambda *args: Calendar(seed(*args)))
+
+
+def _with_next_hits(monkeypatch, change):
+    # change(p, j, hits) edits the next hits of a prime p first seen at j
+    next_hits = sieve._next_hits
+    monkeypatch.setattr(
+        sieve, "_next_hits", lambda p, j, r: change(p, j, next_hits(p, j, r))
+    )
 
 
 def test_every_registration_is_a_first_sighting(monkeypatch):
-    # the table keeps no set of its primes: each prime registered at
-    # index j is at least X = 2j + r, so it divides no earlier element
-    # and is neither a calendar prime nor an earlier registration
-    calendar, registered = set(), []
-    file, register = sieve._file, SieveState.register_prime
+    # the pass keeps no set of the primes it has seen: each prime first
+    # seen at index j is at least X = 2j + r, so it divides no earlier
+    # element and is neither a seeded prime nor an earlier sighting
+    seeded, sighted = set(), []
+    seed = sieve._seed
 
-    def spy_file(due, indices, p, j_max):
-        calendar.add(p)
-        file(due, indices, p, j_max)
+    def spy_seed(params, limit, j_max):
+        due = seed(params, limit, j_max)
+        seeded.update(p for primes in due.values() for p in primes)
+        return due
 
-    def spy_register(self, p, j_found):
-        registered.append((p, j_found))
-        return register(self, p, j_found)
-
-    monkeypatch.setattr(sieve, "_file", spy_file)
-    monkeypatch.setattr(SieveState, "register_prime", spy_register)
+    monkeypatch.setattr(sieve, "_seed", spy_seed)
+    _with_next_hits(monkeypatch, lambda p, j, hits: sighted.append((p, j)) or hits)
     cases = [(c, make_params(c).j_threshold + 40) for c in range(1, 200)]
     cases += [(c, 3000) for c in (1, 4, 61)]
+    sightings = 0
     for c, j_max in cases:
         params = make_params(c)
         list(factorizations(params, j_max))
-        primes = [p for p, _ in registered]
-        assert registered and len(set(primes)) == len(primes), c
-        assert calendar.isdisjoint(primes), c
-        for p, j in registered:
+        primes = [p for p, _ in sighted]
+        assert len(set(primes)) == len(primes), c
+        assert seeded.isdisjoint(primes), c
+        for p, j in sighted:
             assert p >= 2 * j + params.r, (c, p, j)
             if j_max <= 300:
                 earlier = (element_at(params, i).n for i in range(j))
                 assert all(n % p for n in earlier), (c, p, j)
-        calendar.clear()
-        registered.clear()
+        sightings += len(sighted)
+        seeded.clear()
+        sighted.clear()
+    assert sightings
 
 
 def test_registration_keeps_no_python_objects():
@@ -386,55 +427,55 @@ def test_on_record_sees_the_stream():
 
 
 def test_missed_progression_fails_a_plain_run(monkeypatch):
-    # dropping 5 from the schedule leaves N_4 = 65 = 5 * 13 whole, and P
-    # would count it: the base-2 Fermat test stops a plain run there
-    register = SieveState.register_prime
-
-    def drop_five(self, p, j_found):
-        return None if p == 5 else register(self, p, j_found)
-
-    monkeypatch.setattr(SieveState, "register_prime", drop_five)
+    # at c = 1, 5 first seen at N_1 with no next hits leaves
+    # N_4 = 65 = 5 * 13 whole, and P would count it: the base-2 Fermat
+    # test stops a plain run there
+    _with_next_hits(monkeypatch, lambda p, j, hits: [] if p == 5 else hits)
     with pytest.raises(SieveError, match="index 4: cofactor 65 of 65 fails the base-2 Fermat"):
         run_sieve(make_params(1), 19)
-    # dropping 5 at index 19 alone leaves it as the whole cofactor of
-    # 38^2 + 1 = 5 * 17^2, below X = 38, with 17 the one prime due there
-    monkeypatch.setattr(SieveState, "register_prime", register)
-    pop_due = SieveState.pop_due
-    monkeypatch.setattr(
-        SieveState, "pop_due", lambda self, j: [p for p in pop_due(self, j) if (j, p) != (19, 5)]
+    # at c = 61, dropping 5 at index 16 alone leaves it as the whole
+    # cofactor of N_16 = 1085 = 5 * 7 * 31, below the bound
+    # max(isqrt(N_15), X - 1) = 31, with 7 and 31 due there
+    monkeypatch.undo()
+    _with_calendar(monkeypatch, lambda j, primes: [p for p in primes if (j, p) != (16, 5)])
+    with pytest.raises(SieveError) as err:
+        run_sieve(make_params(61), 20)
+    assert str(err.value) == (
+        "index 16: cofactor 5 of 1085 is at most 31, so a due prime was missed; due: 7, 31"
     )
-    with pytest.raises(SieveError, match="index 19: cofactor 5 of 1445 is at most 37") as err:
-        run_sieve(make_params(1), 19)
-    assert str(err.value).endswith("; due: 17")
 
 
 def test_composite_cofactor_fails_verify_at_once_and_a_plain_run_later(monkeypatch):
-    # at c = 1, N_15 = 30^2 + 1 = 901 = 17 * 53 and 17 is due there;
-    # without it the cofactor 901 passes the bound X - 1 = 29, and P
-    # would count it, so the base-2 Fermat test stops a plain run at
-    # once.  N_49 = 9605 = 5 * 17 * 113: without the 5 the cofactor 565
-    # is not the whole element, so a plain run files it as a prime and
-    # hides 113, with P and D still right, until 113 is left as the
-    # cofactor of N_64 = 5 * 29 * 113, below X - 1 = 127.
-    pop_due = SieveState.pop_due
-    dropped = {(15, 17)}
-    monkeypatch.setattr(
-        SieveState, "pop_due", lambda self, j: [p for p in pop_due(self, j) if (j, p) not in dropped]
-    )
+    # at c = 1, N_15 = 30^2 + 1 = 901 = 17 * 53, and 15 is the dual
+    # index of 17, first seen at N_2; without it the cofactor 901 passes
+    # the bound X - 1 = 29, and P would count it, so the base-2 Fermat
+    # test stops a plain run at once
+    _with_next_hits(monkeypatch, lambda p, j, hits: [k for k in hits if (p, k) != (17, 15)])
     with pytest.raises(SieveError, match="index 15: cofactor 901 of 901 is not prime") as err:
         run_sieve(make_params(1), 20, verify=True)
     assert str(err.value).endswith("; due: none")
     for j_max in (20, 100):
         with pytest.raises(SieveError, match="index 15: cofactor 901 of 901 fails the base-2"):
             run_sieve(make_params(1), j_max)
-    dropped = {(49, 5)}
-    with pytest.raises(SieveError, match="index 49: cofactor 565 of 9605 is not prime"):
-        run_sieve(make_params(1), 49, verify=True)
-    out = run_sieve(make_params(1), 63)
-    p_set, d_set = brute_sets(make_params(1), 63)
+    # at c = 81, N_24 = 48^2 + 81 = 2385 = 3^2 * 5 * 53: without the
+    # calendar's 3 the cofactor 477 is not the whole element, so a plain
+    # run files it as a prime and hides 53, with P and D still right,
+    # until 53 is left as the cofactor of N_29 = 5 * 13 * 53, below
+    # X - 1 = 57
+    monkeypatch.undo()
+    _with_calendar(monkeypatch, lambda j, primes: [p for p in primes if (j, p) != (24, 3)])
+    params = make_params(81)
+    with pytest.raises(SieveError) as err:
+        run_sieve(params, 28, verify=True)
+    assert str(err.value) == "index 24: cofactor 477 of 2385 is not prime; due: 5"
+    out = run_sieve(params, 28)
+    p_set, d_set = brute_sets(params, 28)
     assert (out.p_set, out.d_set) == (p_set, d_set)
-    with pytest.raises(SieveError, match="index 64: cofactor 113 of 16385 is at most 127"):
-        run_sieve(make_params(1), 64)
+    with pytest.raises(SieveError) as err:
+        run_sieve(params, 29)
+    assert str(err.value) == (
+        "index 29: cofactor 53 of 3445 is at most 57, so a due prime was missed; due: 5, 13"
+    )
 
 
 def test_verify_mode_matches_plain_run():
@@ -499,8 +540,8 @@ def test_head_mark_that_misses_its_element_raises(monkeypatch):
 @pytest.mark.parametrize(
     "c, j, message",
     [
-        # J_c = 0: the table's 5 divides N_4 = 65 = 5 * 13, the added 3
-        # does not divide the 13 left, and the due primes are sorted
+        # J_c = 0: 5, first seen at N_1, divides N_4 = 65 = 5 * 13, the
+        # added 3 does not divide the 13 left, and the due primes are sorted
         (1, 4, "index 4: prime 3 was due but does not divide 65; due: 3, 5"),
         # J_c = 15: the added 3 comes before the calendar's 11 that
         # divides N_20 = 1661 = 11 * 151, and both are named
@@ -508,10 +549,7 @@ def test_head_mark_that_misses_its_element_raises(monkeypatch):
     ],
 )
 def test_due_prime_that_misses_its_element_past_the_head_raises(monkeypatch, c, j, message):
-    pop_due = SieveState.pop_due
-    monkeypatch.setattr(
-        SieveState, "pop_due", lambda self, i: pop_due(self, i) + ([3] if i == j else [])
-    )
+    _with_calendar(monkeypatch, lambda i, primes: primes + [3] if i == j else primes)
     assert j > make_params(c).j_threshold
     with pytest.raises(SieveError) as err:
         run_sieve(make_params(c), j + 10)
@@ -560,46 +598,39 @@ def test_d_closed_form_check_names_the_first_wrong_prime(monkeypatch):
 
 
 def test_hand_off_to_the_progression_phase_matches_trial_division(monkeypatch):
-    # the records around J_c, where the progression phase takes over;
-    # for c = 61 the head cofactor 61 at j = 0 is its own dual and is
-    # filed once, at 61.  The table is built once, empty, at J_c + 1,
-    # and the head's calendar keeps its primes to J and no key past it,
-    # so the run leaves it empty.
-    seen, built, calendars = [], [], []
-    init, file = SieveState.__init__, sieve._file
+    # the records around J_c, where the bound passes from the head's
+    # limit to X - 1; for c = 61 the head cofactor 61 at j = 0 is its
+    # own dual and is filed once, at 61.  The calendar keeps its primes
+    # to J and no key past it, so the run leaves the dict _seed built
+    # empty.
+    calendars = []
+    seed = sieve._seed
 
-    def spy_init(self, params, j_max):
-        built.append((params, j_max, len(seen)))
-        init(self, params, j_max)
+    def spy_seed(params, limit, j_max):
+        calendars.append(seed(params, limit, j_max))
+        return calendars[-1]
 
-    def spy_file(due, indices, p, j_max):
-        calendars[:] = [due]
-        file(due, indices, p, j_max)
-
-    monkeypatch.setattr(SieveState, "__init__", spy_init)
-    monkeypatch.setattr(sieve, "_file", spy_file)
+    monkeypatch.setattr(sieve, "_seed", spy_seed)
     for c in (61, 80002, 4 * 10**5 + 2, 3**12):
         params = make_params(c)
         j_c = params.j_threshold
         for rec in factorizations(params, j_c + 500):
-            seen.append(rec.j)
             if rec.j >= j_c - 100:
                 assert rec.factors == tuple(trial_factor(rec.n)), (c, rec.j)
-        assert built == [(params, j_c + 500, j_c + 1)], c
         assert calendars == [{}], c
-        seen.clear()
-        built.clear()
         calendars.clear()
 
 
 def test_every_table_slot_comes_from_register_prime(monkeypatch):
-    # the table starts empty: its slots are exactly those its
-    # registrations report, and it has room for two per index past J_c
-    tables, opened = [], []
+    # pins the progression table, and goes with it in stage B.  The
+    # table is built once, empty, at J_c + 1: its slots are exactly
+    # those its registrations report, and it has room for two per index
+    # past J_c
+    tables, opened, seen = [], [], []
     init, register = SieveState.__init__, SieveState.register_prime
 
     def spy_init(self, params, j_max):
-        tables.append(self)
+        tables.append((self, params, j_max, len(seen)))
         init(self, params, j_max)
 
     def spy_register(self, p, j_found):
@@ -610,21 +641,26 @@ def test_every_table_slot_comes_from_register_prime(monkeypatch):
     monkeypatch.setattr(SieveState, "__init__", spy_init)
     monkeypatch.setattr(SieveState, "register_prime", spy_register)
     for c in (61, 80002, 4 * 10**5 + 2):
-        j_c = make_params(c).j_threshold
-        list(factorizations(make_params(c), j_c + 300))
-        (table,) = tables
+        params = make_params(c)
+        j_c = params.j_threshold
+        for rec in factorizations(params, j_c + 300):
+            seen.append(rec.j)
+        ((table, *built),) = tables
+        assert built == [params, j_c + 300, j_c + 1], c
         assert opened and table._size == sum(opened), c
         assert len(table._next) == len(table._prime) == 2 * 300, c
         tables.clear()
         opened.clear()
+        seen.clear()
 
 
 def test_run_inside_the_head_builds_no_schedule(monkeypatch):
-    def refuse(self, p, j_found):
-        raise AssertionError(f"registered {p} at index {j_found}")
-
-    monkeypatch.setattr(SieveState, "register_prime", refuse)
+    # a run that ends inside the head files no new prime: each cofactor
+    # there is above limit >= X, so its dual index lies past J
+    sighted = []
+    _with_next_hits(monkeypatch, lambda p, j, hits: sighted.append(p) or hits)
     out = run_sieve(make_params(80002), 20000)
     assert (len(out.p_set), len(out.d_set)) == (2818, 1158)
-    with pytest.raises(AssertionError, match="registered"):
-        run_sieve(make_params(80002), 20001)
+    assert sighted == []
+    run_sieve(make_params(80002), 20100)
+    assert sighted
