@@ -255,18 +255,18 @@ def _cmd_uz_demo(args) -> int:
     params = make_params(args.c)
     pair = _select_pair(params, args)
     lo, hi = args.n
-    # a first pass raises any range error before the header; it keeps no
-    # term, so a long range still streams
-    for n in range(lo, hi + 2):
-        pair.terms(n)
+    # the two ends raise any range error before the header and decide the
+    # range: acc > 0 and Z_n > 0 (uz._pair), so Z_n is convex, largest at lo
+    # or hi + 1, and inside U_n**2 < Z_n * Z_{n+1} <= (2**63 - 1)**2
+    (u, z), last = pair.terms(lo), pair.terms(hi + 1)
     failed = False
     print("n,U_n,Z_n,check")
     for n in range(lo, hi + 1):
-        u, z = pair.terms(n)
-        _, z_next = pair.terms(n + 1)
+        u_next, z_next = pair.terms(n + 1) if n < hi else last
         ok = u * u + params.c == z * z_next
         failed = failed or not ok
         print(f"{n},{u},{z},{'ok' if ok else 'FAIL'}")
+        u, z = u_next, z_next
     return 1 if failed else 0
 
 

@@ -65,7 +65,13 @@ def _exact_terms(pair: UZPair, n: int) -> tuple[int, int]:
 
 
 def _pair(c: int, u0: int, z0: int) -> UZPair:
-    """The pair whose first factorization is u0**2 + c = z0 * z1."""
+    """The pair whose first factorization is u0**2 + c = z0 * z1.
+
+    Its acc = z0 + z1 - 2*u0 is positive: z0, z1 > 0 and z0 * z1 =
+    u0**2 + c > u0**2, so z0 + z1 >= 2*sqrt(z0 * z1) > 2*|u0|.  Every
+    Z_n is positive, since Z_n * Z_{n+1} = U_n**2 + c >= 1 and Z_0 = z0
+    >= 1.  uz-demo relies on both to check a term range at its two ends.
+    """
     n = u0 * u0 + c
     if z0 < 1 or n % z0 != 0:
         raise ValueError(f"{z0} does not divide {n}")

@@ -95,6 +95,21 @@ def test_run_with_verification_audit(tmp_path, capsys):
     assert len(path.read_text().splitlines()) == 302
 
 
+def test_run_verify_audit_catches_a_corrupt_row(tmp_path, capsys, monkeypatch):
+    # the audit re-reads the written file, so a row that leaves the
+    # record right but renders it wrong still fails the run
+    real = cli._render_record
+    corrupt = lambda rec: real(rec) + ("*3" if rec.j == 7 else "")
+    monkeypatch.setattr(cli, "_render_record", corrupt)
+    path = tmp_path / "factors.csv"
+    assert run_cli("run", "--c", "3", "--J", "20", "--verify",
+                   "--factorizations", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: factorization row for index 7 does not multiply back to 199\n"
+    )
+    assert "7,14,199,199*3\n" in path.read_text()
+
+
 def test_run_usage_and_range_errors(capsys):
     assert run_cli("run", "--c", "0", "--J", "5") == 2
     assert run_cli("run", "--c", "1", "--J", "-5") == 2
@@ -181,6 +196,19 @@ def test_verify_verbose_makes_one_pass(monkeypatch, capsys):
     )
 
 
+def test_verify_reports_the_first_divergence(monkeypatch, capsys):
+    real = oracle.trial_factor
+    monkeypatch.setattr(oracle, "trial_factor", lambda n: [(n, 1)] if n == 39 else real(n))
+    assert run_cli("verify", "--c", "3", "--J", "10") == 1
+    captured = capsys.readouterr()
+    assert "verified:" not in captured.out
+    assert captured.err == (
+        "divergence at index 3\n"
+        "  sieve:  FactorizationRecord(j=3, x=6, n=39, factors=((3, 1), (13, 1)))\n"
+        "  oracle: ((39, 1),)\n"
+    )
+
+
 def test_verify_range_error(capsys):
     assert run_cli("verify", "--c", "0", "--J", "10") == 2
     capsys.readouterr()
@@ -256,6 +284,24 @@ def test_uz_demo_range_error_prints_no_row(capsys, c, which):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "63-bit" in captured.err
+
+
+def test_uz_demo_rejects_a_long_range_at_once():
+    # U_n = 2n^2 at c = 1 leaves 63 bits at n = 2^31; the range is
+    # rejected from its two ends, not after walking 2^31 terms to the edge
+    src = str(Path(quadsieve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "quadsieve", "uz-demo", "--c", "1",
+         "--which", "special1", "--n", "0..3000000000"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "63-bit" in done.stderr
 
 
 def test_uz_demo_bad_range(capsys):

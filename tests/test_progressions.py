@@ -92,6 +92,10 @@ def test_dual_for_prime_rejects_non_prime():
         dual_for_prime(make_params(1), 9)
     with pytest.raises(ValueError):
         dual_for_prime(make_params(1), 2)
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        dual_for_prime_power(make_params(1), 5, 0)
+    with pytest.raises(OverflowError):
+        dual_for_prime_power(make_params(1), 3, 40)
 
 
 def test_dual_for_prime_power_examples():
@@ -367,6 +371,8 @@ def test_first_occurrence_overflows_past_the_cap():
     with pytest.raises(OverflowError):
         first_occurrence(make_params(1), a)
     assert time.perf_counter() - t0 < 2.0
+    with pytest.raises(OverflowError):
+        first_occurrence(make_params(1), 2**63 + 1)
 
 
 def test_first_occurrence_at_the_63_bit_edge():

@@ -409,13 +409,23 @@ def test_run_argument_errors():
         run_sieve(p1, 2**32)
 
 
-def test_stream_checks_arguments_when_called():
+def test_stream_checks_arguments_when_called(monkeypatch):
     # the errors come from the call itself, before any record is pulled
     p1 = make_params(1)
     with pytest.raises(ValueError):
         factorizations(p1, -1)
     with pytest.raises(OverflowError, match="4294967296"):
         factorizations(p1, 2**32)
+    # so does the up-front pair cross-check of a verified run
+    real = sieve._exact_terms
+
+    def shifted(pair, n):
+        u, z = real(pair, n)
+        return u + (n == 2), z
+
+    monkeypatch.setattr(sieve, "_exact_terms", shifted)
+    with pytest.raises(SieveError, match="sequence pair identity fails at term 2 for c = 15"):
+        factorizations(make_params(15), 10, verify=True)
 
 
 def test_on_record_sees_the_stream():

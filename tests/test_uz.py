@@ -1,8 +1,11 @@
+import random
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
 
 from quadsieve import (
+    INT63_MAX,
     UZPair,
     appendix_pair,
     family_coeffs,
@@ -11,16 +14,20 @@ from quadsieve import (
     pair_from_factorization,
     special_pair_one,
     special_pair_two,
+    uz,
     z_values_distinct,
 )
 
 
 def check_identity(pair, lo=-50, hi=50):
-    """U_n**2 + c == Z_n * Z_{n+1} over [lo, hi], term by term."""
+    """U_n**2 + c == Z_n * Z_{n+1} over [lo, hi], term by term, with
+    acc > 0 and every Z_n > 0, which uz-demo's range check relies on."""
+    assert pair.acc > 0
     terms = [pair.terms(n) for n in range(lo, hi + 2)]
     for i in range(hi - lo + 1):
         u, z = terms[i]
         _, z_next = terms[i + 1]
+        assert z > 0
         assert u * u + pair.c == z * z_next
 
 
@@ -308,3 +315,44 @@ def test_appendix_z_step_closed_forms():
                 assert pair.z_step == g1 + g2, (c, j, k)
                 pair = appendix_pair(params, j, k, "b")
                 assert pair.z_step == g1 + 8 * r + g2 + 8 * (2 * j + 2 * j * k) + 8 * k * r
+
+
+def _fits(pair, n):
+    return max(map(abs, uz._exact_terms(pair, n))) <= INT63_MAX
+
+
+def _random_pairs(rng):
+    """One pair of each constructor at a random c, small to near 2**63."""
+    c = rng.choice([rng.randint(1, 200), rng.randint(1, 10**12),
+                    rng.randint(2**40, INT63_MAX - 2**33)])
+    params = make_params(c)
+    yield special_pair_one(params)
+    two = special_pair_two(params)
+    if two is not None:
+        yield two
+    hit = None
+    while hit is None:
+        hit = first_occurrence(params, rng.randrange(1, 10**6, 2))
+    yield family_coeffs(params, hit, hit.j0, rng.randint(0, 5))
+    yield appendix_pair(params, rng.randint(0, 1000), rng.randint(0, 5), rng.choice("ab"))
+
+
+def test_both_ends_of_a_term_range_decide_it():
+    # uz-demo checks only U_lo, Z_lo and U_{hi+1}, Z_{hi+1}: Z_n is a
+    # positive convex quadratic, so the two ends fit in 63 bits exactly
+    # when every term from lo to hi + 1 does; windows sit around the
+    # vertex, near the 63-bit edges and near n = +-2**31
+    rng = random.Random(20221)
+    windows = mixed = 0
+    for _ in range(150):
+        for pair in _random_pairs(rng):
+            vertex = (pair.acc - pair.step0) // (2 * pair.acc)
+            reach = isqrt(INT63_MAX // pair.acc)
+            for center in (vertex, vertex - reach, vertex + reach, -(2**31), 2**31):
+                lo = center + rng.randint(-300, 300)
+                hi = lo + rng.randint(0, 298)
+                fit = [_fits(pair, n) for n in range(lo, hi + 2)]
+                assert (fit[0] and fit[-1]) == all(fit), (pair, lo, hi)
+                windows += 1
+                mixed += len(set(fit)) == 2
+    assert windows >= 2000 and mixed >= 200
