@@ -22,6 +22,7 @@ from quadsieve import (
 )
 from quadsieve.cli import main
 from quadsieve.uz import appendix_pair, family_coeffs
+from reference import brute_hit_indices, divisors_of, eratosthenes
 
 _c1_rows = {}
 
@@ -47,17 +48,6 @@ def identity_holds(pair, lo=-50, hi=50):
         terms[i][0] ** 2 + pair.c == terms[i][1] * terms[i + 1][1]
         for i in range(hi - lo + 1)
     )
-
-
-def eratosthenes(limit):
-    composite = bytearray(limit + 1)
-    primes = []
-    for n in range(2, limit + 1):
-        if not composite[n]:
-            primes.append(n)
-            for m in range(n * n, limit + 1, n):
-                composite[m] = 1
-    return primes
 
 
 def test_criterion_1_reference_counts():
@@ -95,14 +85,9 @@ def test_criterion_4_product_identity_suite():
         params = make_params(c)
         for j in range(11):
             x = 2 * j + params.r
-            n = x * x + c
-            a = 1
-            while a * a <= n:
-                if n % a == 0:
-                    for d in {a, n // a}:
-                        ok = ok and identity_holds(pair_from_factorization(params, x, d))
-                        cases += 1
-                a += 1
+            for d in divisors_of(x * x + c):
+                ok = ok and identity_holds(pair_from_factorization(params, x, d))
+                cases += 1
     ok = ok and cases >= 200
     for c in range(1, 26):
         params = make_params(c)
@@ -127,31 +112,34 @@ def test_criterion_4_product_identity_suite():
     _report(4, "U_n^2 + c = Z_n * Z_{n+1} across every pair constructor", ok)
 
 
-def test_criterion_5_progression_coverage():
-    import numpy as np
+def _progressions_hold(c, p, alpha):
+    """Criterion 5's checks for one prime power p^alpha on j <= 5 p^alpha."""
+    params = make_params(c)
+    modulus = p**alpha
+    dp = dual_for_prime_power(params, p, alpha)
+    brute = brute_hit_indices(c, modulus, 5 * modulus)
+    if dp is None:
+        return not brute
+    predicted = {j for j in range(5 * modulus + 1) if j % dp.difference in dp.residues}
+    ok = predicted == brute
+    if len(dp.residues) == 2 and c % p != 0:
+        ok = ok and sum(dp.residues) == dp.difference - params.r
+    ok = ok and dp.self_dual == (c % modulus == 0)
+    return ok and dp.self_dual == (len(dp.residues) == 1)
 
-    ok = True
-    odd_primes = [p for p in eratosthenes(50) if p > 2]
-    for c in range(1, 51):
-        params = make_params(c)
-        for p in odd_primes:
-            for alpha in (1, 2, 3):
-                modulus = p**alpha
-                dp = dual_for_prime_power(params, p, alpha)
-                js = np.arange(5 * modulus + 1, dtype=np.int64)
-                xs = 2 * js + params.r
-                brute = set(js[(xs * xs + c) % modulus == 0].tolist())
-                if dp is None:
-                    ok = ok and not brute
-                    continue
-                predicted = {
-                    int(j) for j in js.tolist() if j % dp.difference in dp.residues
-                }
-                ok = ok and predicted == brute
-                if len(dp.residues) == 2 and c % p != 0:
-                    ok = ok and sum(dp.residues) == dp.difference - params.r
-                ok = ok and dp.self_dual == (c % modulus == 0)
-    _report(5, "predicted divisor progressions equal brute force on the full grid", ok)
+
+def test_criterion_5_progression_coverage():
+    grid = [
+        (c, p, alpha)
+        for c in range(1, 51)
+        for p in eratosthenes(50)[1:]
+        for alpha in (1, 2, 3)
+    ]
+    failed = next((case for case in grid if not _progressions_hold(*case)), None)
+    label = "predicted divisor progressions equal brute force on the full grid"
+    if failed is not None:
+        label += f", first failing at (c, p, alpha) = {failed}"
+    _report(5, label, failed is None)
 
 
 def test_criterion_6_verified_long_runs():

@@ -1,15 +1,11 @@
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import quadsieve
 from quadsieve import cli, oracle
 from quadsieve.cli import main, render_factors
+from reference import run_python
 
 
 def run_cli(*argv):
@@ -22,17 +18,11 @@ def test_render_factors():
     assert render_factors(((5, 2), (13, 1))) == "5^2*13"
 
 
-def test_run_reference_counts(capsys):
-    assert run_cli("run", "--c", "1", "--J", "10000", "--checkpoints", "10000") == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "J,P_count,D_count,elapsed_seconds"
-    assert lines[1].startswith("10000,1558,609,")
-
-
 def test_run_head_counts(capsys):
     # J = J_c for c = 80002, so every element is factored in the head
     assert run_cli("run", "--c", "80002", "--J", "20000") == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "J,P_count,D_count,elapsed_seconds"
     assert lines[1].startswith("20000,2818,1158,")
 
 
@@ -289,16 +279,8 @@ def test_uz_demo_range_error_prints_no_row(capsys, c, which):
 def test_uz_demo_rejects_a_long_range_at_once():
     # U_n = 2n^2 at c = 1 leaves 63 bits at n = 2^31; the range is
     # rejected from its two ends, not after walking 2^31 terms to the edge
-    src = str(Path(quadsieve.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "quadsieve", "uz-demo", "--c", "1",
-         "--which", "special1", "--n", "0..3000000000"],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
+    done = run_python("-m", "quadsieve", "uz-demo", "--c", "1",
+                      "--which", "special1", "--n", "0..3000000000", timeout=10)
     assert done.returncode == 2
     assert done.stdout == ""
     assert "63-bit" in done.stderr
@@ -341,14 +323,6 @@ print("numpy" in sys.modules)
 
 def test_only_the_progression_phase_loads_numpy():
     # pins the progression table, the one user of numpy: flips with it in stage B
-    src = str(Path(quadsieve.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    done = run_python("-c", NUMPY_PROBE, check=True)
     loaded = [line for line in done.stdout.splitlines() if line in ("False", "True")]
     assert loaded == ["False", "True"]

@@ -1,13 +1,9 @@
 import ast
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import quadsieve
 from quadsieve import (
     atkin_primes,
     brute_sets,
@@ -18,6 +14,7 @@ from quadsieve import (
     oracle,
     trial_factor,
 )
+from reference import run_python
 
 # primes on either side of 2^16, where the oracle's prime table ends, and
 # 2^32, the bound below which the table alone suffices
@@ -123,15 +120,7 @@ print(oracle._small_primes.cache_info().currsize)
 
 
 def test_importing_the_cli_builds_no_prime_table():
-    src = str(Path(quadsieve.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", TABLE_PROBE],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    done = run_python("-c", TABLE_PROBE, check=True)
     assert done.stdout.split() == ["0", "1"]
 
 

@@ -18,16 +18,9 @@ from quadsieve import (
     sequence_exists,
 )
 from quadsieve.progressions import _sqrt_mod_prime
+from reference import brute_hit_indices
 
 ODD_PRIMES_50 = [p for p in range(3, 50, 2) if is_prime(p)]
-
-
-def brute_hit_indices(c, modulus, j_hi):
-    """Indices j <= j_hi whose element is divisible by modulus, directly."""
-    r = 1 - c % 2
-    js = np.arange(j_hi + 1, dtype=np.int64)
-    xs = 2 * js + r
-    return set(js[(xs * xs + c) % modulus == 0].tolist())
 
 
 def test_first_occurrence_examples():
@@ -133,40 +126,6 @@ def test_power_plan_split_zero_when_p_coprime_to_c():
                     continue
                 assert plan.split == 0
                 assert plan.split == min(plan.val_x0, alpha // 2)
-
-
-def test_coverage_grid():
-    # predicted index sets match brute force over j <= 5 * p^alpha
-    for c in range(1, 51):
-        params = make_params(c)
-        for p in ODD_PRIMES_50:
-            for alpha in (1, 2, 3):
-                modulus = p**alpha
-                dp = dual_for_prime_power(params, p, alpha)
-                brute = brute_hit_indices(c, modulus, 5 * modulus)
-                if dp is None:
-                    assert not brute, (c, p, alpha)
-                    continue
-                predicted = {
-                    j
-                    for j in range(5 * modulus + 1)
-                    if j % dp.difference in dp.residues
-                }
-                assert predicted == brute, (c, p, alpha)
-
-
-def test_duality_sum_and_self_duality_grid():
-    for c in range(1, 51):
-        params = make_params(c)
-        for p in ODD_PRIMES_50:
-            for alpha in (1, 2, 3):
-                dp = dual_for_prime_power(params, p, alpha)
-                if dp is None:
-                    continue
-                assert dp.self_dual == (len(dp.residues) == 1)
-                assert dp.self_dual == (c % p**alpha == 0), (c, p, alpha)
-                if len(dp.residues) == 2 and c % p != 0:
-                    assert sum(dp.residues) == dp.difference - params.r
 
 
 def test_first_occurrence_bound_and_equality_cases():

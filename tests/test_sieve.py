@@ -18,22 +18,11 @@ from quadsieve import (
     run_sieve,
     sieve,
     trial_factor,
+    uz,
 )
 from quadsieve.cli import render_factors
 from quadsieve.sieve import SieveState
-
-
-def eratosthenes(limit):
-    if limit < 2:
-        return []
-    composite = bytearray(limit + 1)
-    primes = []
-    for n in range(2, limit + 1):
-        if not composite[n]:
-            primes.append(n)
-            for m in range(n * n, limit + 1, n):
-                composite[m] = 1
-    return primes
+from reference import eratosthenes
 
 
 def test_atkin_edges():
@@ -62,29 +51,11 @@ def test_run_c3_small():
     assert out.d_set == [3, 7]
 
 
-def test_run_c1_reference_counts():
-    out = run_sieve(make_params(1), 10000)
-    assert (len(out.p_set), len(out.d_set)) == (1558, 609)
-
-
 def test_unit_element_joins_neither_set():
     out = run_sieve(make_params(1), 0)
     records = list(factorizations(make_params(1), 0))
     assert out.p_set == [] and out.d_set == []
     assert records[0].factors == ()
-
-
-def test_records_round_trip():
-    records = list(factorizations(make_params(7), 50))
-    assert len(records) == 51
-    for j, rec in enumerate(records):
-        assert rec.j == j
-        assert rec.n == rec.x * rec.x + 7
-        prod = 1
-        for p, e in rec.factors:
-            prod *= p**e
-        assert prod == rec.n
-        assert list(rec.factors) == sorted(rec.factors)
 
 
 def residues(rec, p):
@@ -94,6 +65,7 @@ def residues(rec, p):
 def test_register_prime_examples():
     st = SieveState(make_params(1), 100)
     rec = st.register_prime(5, 1)
+    assert rec.next_hits == [6, 4]
     assert residues(rec, 5) == (1, 4)
     st = SieveState(make_params(5), 100)
     assert residues(st.register_prime(5, 0), 5) == (0,)
@@ -103,14 +75,6 @@ def test_register_prime_examples():
         SieveState(make_params(1), 100).register_prime(5, 3)
     # the table is private to the sieve, not package API
     assert not {"SieveState", "RegisteredPrime"} & {*quadsieve.__all__, *dir(quadsieve)}
-
-
-def test_register_prime_schedules_past_discovery():
-    st = SieveState(make_params(1), 100)
-    rec = st.register_prime(5, 1)
-    assert rec.next_hits == [6, 4]
-    assert all(nh > 1 for nh in rec.next_hits)
-    assert residues(rec, 5) == (1, 4)
 
 
 def test_next_hits_are_the_first_index_past_j_in_each_class():
@@ -174,7 +138,9 @@ def _with_next_hits(monkeypatch, change):
 def test_every_registration_is_a_first_sighting(monkeypatch):
     # the pass keeps no set of the primes it has seen: each prime first
     # seen at index j is at least X = 2j + r, so it divides no earlier
-    # element and is neither a seeded prime nor an earlier sighting
+    # element and is neither a seeded prime nor an earlier sighting.  Its
+    # next hit other than j + p is the index of U_1 in the pair with
+    # U_0 = X and Z_1 = p, the paper's step U_1 = 2 Z_1 - U_0
     seeded, sighted = set(), []
     seed = sieve._seed
 
@@ -184,18 +150,22 @@ def test_every_registration_is_a_first_sighting(monkeypatch):
         return due
 
     monkeypatch.setattr(sieve, "_seed", spy_seed)
-    _with_next_hits(monkeypatch, lambda p, j, hits: sighted.append((p, j)) or hits)
+    _with_next_hits(monkeypatch, lambda p, j, hits: sighted.append((p, j, hits)) or hits)
     cases = [(c, make_params(c).j_threshold + 40) for c in range(1, 200)]
     cases += [(c, 3000) for c in (1, 4, 61)]
     sightings = 0
     for c, j_max in cases:
         params = make_params(c)
         list(factorizations(params, j_max))
-        primes = [p for p, _ in sighted]
+        primes = [p for p, _, _ in sighted]
         assert len(set(primes)) == len(primes), c
         assert seeded.isdisjoint(primes), c
-        for p, j in sighted:
-            assert p >= 2 * j + params.r, (c, p, j)
+        for p, j, hits in sighted:
+            x = 2 * j + params.r
+            assert p >= x, (c, p, j)
+            u1, z1 = uz._pair(c, x, (x * x + c) // p).terms(1)
+            assert z1 == p and u1 == 2 * p - x, (c, p, j)
+            assert all(k == j + p or 2 * k + params.r == u1 for k in hits), (c, p, j)
             if j_max <= 300:
                 earlier = (element_at(params, i).n for i in range(j))
                 assert all(n % p for n in earlier), (c, p, j)
@@ -452,6 +422,17 @@ def test_missed_progression_fails_a_plain_run(monkeypatch):
         run_sieve(make_params(61), 20)
     assert str(err.value) == (
         "index 16: cofactor 5 of 1085 is at most 31, so a due prime was missed; due: 7, 31"
+    )
+    # at c = 34, J_c = 8 and limit = isqrt(N_8) = 17; 19, first seen as
+    # the cofactor of N_8 = 17 * 19, is due at its dual index 10, where
+    # N_10 = 475 = 5^2 * 19 and 19 = X - 2 sits just under the bound
+    # X - 1 = 20 past the head
+    monkeypatch.undo()
+    _with_calendar(monkeypatch, lambda j, primes: [p for p in primes if (j, p) != (10, 19)])
+    with pytest.raises(SieveError) as err:
+        run_sieve(make_params(34), 20)
+    assert str(err.value) == (
+        "index 10: cofactor 19 of 475 is at most 20, so a due prime was missed; due: 5"
     )
 
 

@@ -17,6 +17,7 @@ from quadsieve import (
     uz,
     z_values_distinct,
 )
+from reference import divisors_of
 
 
 def check_identity(pair, lo=-50, hi=50):
@@ -29,18 +30,6 @@ def check_identity(pair, lo=-50, hi=50):
         _, z_next = terms[i + 1]
         assert z > 0
         assert u * u + pair.c == z * z_next
-
-
-def divisors_of(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def test_terms_examples():
