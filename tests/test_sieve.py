@@ -58,25 +58,6 @@ def test_unit_element_joins_neither_set():
     assert records[0].factors == ()
 
 
-def residues(rec, p):
-    return tuple(sorted(h % p for h in rec.next_hits))
-
-
-def test_register_prime_examples():
-    st = SieveState(make_params(1), 100)
-    rec = st.register_prime(5, 1)
-    assert rec.next_hits == [6, 4]
-    assert residues(rec, 5) == (1, 4)
-    st = SieveState(make_params(5), 100)
-    assert residues(st.register_prime(5, 0), 5) == (0,)
-    st = SieveState(make_params(4), 100)
-    assert residues(st.register_prime(5, 0), 5) == (0, 4)
-    with pytest.raises(ValueError, match="prime 5 is below X = 6 at index 3"):
-        SieveState(make_params(1), 100).register_prime(5, 3)
-    # the table is private to the sieve, not package API
-    assert not {"SieveState", "RegisteredPrime"} & {*quadsieve.__all__, *dir(quadsieve)}
-
-
 def test_next_hits_are_the_first_index_past_j_in_each_class():
     for c in (1, 4, 61, 80002):
         params = make_params(c)
@@ -192,85 +173,78 @@ def test_registration_keeps_no_python_objects():
     assert grown < len(primes), grown
 
 
-def test_pop_due_matches_brute_force():
-    # c = 4 has r = 1, so the dual index p - 1 - j differs from j
-    params = make_params(4)
-    rng = random.Random(17)
-    primes = [p for p in atkin_primes(30000)[1:] if sieve._index_classes(params, p, 1)]
-    primes = primes[:1200]
-    rng.shuffle(primes)
-    bound = 3 * max(primes)
-    st = SieveState(params, bound)
-    slots = []
-    for p in primes:
-        classes = sieve._index_classes(params, p, 1)[1]
-        # the smaller class index is the only one with 2j + r <= p
-        j_found = classes[0]
-        rec = st.register_prime(p, j_found)
-        assert residues(rec, p) == classes
-        for first in rec.next_hits:
-            # the first hit is the class's first index past the discovery
-            assert j_found < first <= j_found + p
-            slots.append((p, first))
-    expected = {j: [] for j in range(bound + 1)}
-    for p, first in slots:
-        for j in range(first, bound + 1, p):
-            expected[j].append(p)
-    popped = {j: st.pop_due(j) for j in range(bound + 1)}
-    assert popped == expected
-    for j, due in popped.items():
-        for p in due:
-            if j + p <= bound:
-                assert p in popped[j + p]
-
-
-@pytest.mark.parametrize("c", [1, 4])
-def test_pop_due_never_fires_slots_past_j_max(c):
-    # slots whose next hits lie past the bound, some past 2**31 and up
-    # to 2**63, sit between ordinary slots: they keep their place in
-    # the scan and never fire, while next_hits reports the true indices
-    params = make_params(c)
-    rng = random.Random(c)
-    primes = [p for p in atkin_primes(4000)[1:] if sieve._index_classes(params, p, 1)]
-    bound = 3 * max(primes)
-    starts = (bound + 1000, bound + 5000, 2**31, 2**32)
-    past = [next(q for q in range(n | 1, n + 1000, 2) if is_prime(q)) for n in starts]
-    past += [2**31 - 1, 2**63 - 25]
-    assert all(is_prime(q) for q in past)
-    order = [(p, False) for p in primes] + [(q, True) for q in past]
-    rng.shuffle(order)
-    st = SieveState(params, bound)
-    slots = []
-    for p, dead in order:
-        j_found = rng.randrange(50) if dead else sieve._index_classes(params, p, 1)[1][0]
-        rec = st.register_prime(p, j_found)
-        assert rec.next_hits[0] == j_found + p
-        if dead:
-            assert min(rec.next_hits) > bound
-        slots += [(p, first) for first in rec.next_hits]
-    expected = {j: [] for j in range(bound + 1)}
-    for p, first in slots:
-        for j in range(first, bound + 1, p):
-            expected[j].append(p)
-    popped = {j: st.pop_due(j) for j in range(bound + 1)}
-    assert popped == expected
-    assert not set(past) & {p for due in popped.values() for p in due}
-
-
-def test_pop_due_stops_a_slot_moving_past_int32_at_j_max_plus_one():
-    # c = 4e9 + 1 has its head up to index 1e9, so a run to 1e9 + 100
-    # stays inside 63 bits; a prime first seen just past the head fires
-    # at its dual index and then moves to j + p, past 2**31
-    params = make_params(4 * 10**9 + 1)
-    j_max = params.j_threshold + 100
-    element_at(params, j_max)
-    j_found = params.j_threshold + 1
-    p = next(q for q in range(2 * j_found + 1, 2 * j_found + 1000, 2) if is_prime(q))
+def _slot_schedule(params, registrations, j_max, lo=0):
+    # registers each (p, j_found) in a fresh table, which must report
+    # _next_hits and pop at each j in [lo, j_max], in slot order, the
+    # primes of the slots with first hit f <= j and p | j - f
     st = SieveState(params, j_max)
-    dual = st.register_prime(p, j_found).next_hits[1]
-    assert dual <= j_max < 2**31 < dual + p
-    popped = {j: st.pop_due(j) for j in range(j_found + 1, j_max + 1)}
-    assert popped == {j: [p] if j == dual else [] for j in popped}
+    records = [st.register_prime(p, j_found) for p, j_found in registrations]
+    hits = [sieve._next_hits(p, j_found, params.r) for p, j_found in registrations]
+    assert [rec.next_hits for rec in records] == hits
+    slots = [(p, f) for (p, _), fs in zip(registrations, hits) for f in fs]
+    expected = {j: [] for j in range(lo, j_max + 1)}
+    for p, first in slots:
+        for j in range(first, j_max + 1, p):
+            if j >= lo:
+                expected[j].append(p)
+    popped = {j: st.pop_due(j) for j in range(lo, j_max + 1)}
+    assert popped == expected
+    return records, popped
+
+
+@pytest.mark.parametrize(
+    "scenario", ["examples", "live", "past-j-max-1", "past-j-max-4", "past-int32"]
+)
+def test_pop_due_follows_the_slots_register_prime_opens(scenario):
+    if scenario == "examples":
+        # 5, first seen at N_1 = 5 for c = 1, is due at 6 and its dual 4;
+        # first seen at N_0 = 5, at 5 and 4 for c = 4, at 5 alone for c = 5
+        for c, j_found, hits in ((1, 1, [6, 4]), (5, 0, [5]), (4, 0, [5, 4])):
+            (rec,), _ = _slot_schedule(make_params(c), [(5, j_found)], 100)
+            assert rec.next_hits == hits, c
+        with pytest.raises(ValueError, match="prime 5 is below X = 6 at index 3"):
+            SieveState(make_params(1), 100).register_prime(5, 3)
+    elif scenario == "past-int32":
+        # c = 4e9 + 1 has its head up to index 1e9, so a run to 1e9 + 100
+        # stays inside 63 bits; a prime first seen just past the head fires
+        # at its dual index and then moves to j + p, past 2**31
+        params = make_params(4 * 10**9 + 1)
+        j_max = params.j_threshold + 100
+        element_at(params, j_max)
+        j_found = params.j_threshold + 1
+        p = next(q for q in range(2 * j_found + 1, 2 * j_found + 1000, 2) if is_prime(q))
+        (rec,), _ = _slot_schedule(params, [(p, j_found)], j_max, lo=j_found + 1)
+        dual = rec.next_hits[1]
+        assert dual <= j_max < 2**31 < dual + p
+    else:
+        # shuffled live primes, each at its smaller class index (the only
+        # one with 2j + r <= p; at c = 4, r = 1 and the dual is not j), and
+        # for past-j-max primes seen at random indices whose slots lie past
+        # the bound, up to 2**63: they keep their place in the scan, unfired
+        c = 4 if scenario == "live" else int(scenario[-1])
+        limit, seed = (30000, 17) if scenario == "live" else (4000, c)
+        params = make_params(c)
+        live = [(p, cls[1]) for p in atkin_primes(limit)[1:]
+                if (cls := sieve._index_classes(params, p, 1))][:1200]
+        bound = 3 * max(p for p, _ in live)
+        starts = (bound + 1000, bound + 5000, 2**31, 2**32)
+        past = [next(q for q in range(n | 1, n + 1000, 2) if is_prime(q)) for n in starts]
+        past = [] if scenario == "live" else past + [2**31 - 1, 2**63 - 25]
+        assert all(is_prime(q) for q in past)
+        rng = random.Random(seed)
+        order = live + [(q, None) for q in past]
+        rng.shuffle(order)
+        found = [(p, rng.randrange(50) if cls is None else cls[0]) for p, cls in order]
+        records, popped = _slot_schedule(params, found, bound)
+        for (p, cls), (_, j_found), rec in zip(order, found, records):
+            # the first hit is the class's first index past the discovery
+            assert rec.next_hits[0] == j_found + p
+            assert all(j_found < first <= j_found + p for first in rec.next_hits)
+            assert cls is None or tuple(sorted(h % p for h in rec.next_hits)) == cls
+            assert cls is not None or min(rec.next_hits) > bound
+        for j, due in popped.items():
+            assert all(p in popped[j + p] for p in due if j + p <= bound)
+        assert not set(past) & {p for due in popped.values() for p in due}
 
 
 def test_element_at_overflows_before_the_int32_index_column():
@@ -613,10 +587,10 @@ def test_hand_off_to_the_progression_phase_matches_trial_division(monkeypatch):
 
 
 def test_every_table_slot_comes_from_register_prime(monkeypatch):
-    # pins the progression table, and goes with it in stage B.  The
-    # table is built once, empty, at J_c + 1: its slots are exactly
-    # those its registrations report, and it has room for two per index
-    # past J_c
+    # pins the progression table, private to the sieve and not package
+    # API, and goes with it in stage B.  The table is built once, empty,
+    # at J_c + 1: its slots are exactly those its registrations report,
+    # and it has room for two per index past J_c
     tables, opened, seen = [], [], []
     init, register = SieveState.__init__, SieveState.register_prime
 
@@ -629,6 +603,7 @@ def test_every_table_slot_comes_from_register_prime(monkeypatch):
         opened.append(len(rec.next_hits))
         return rec
 
+    assert not {"SieveState", "RegisteredPrime"} & {*quadsieve.__all__, *dir(quadsieve)}
     monkeypatch.setattr(SieveState, "__init__", spy_init)
     monkeypatch.setattr(SieveState, "register_prime", spy_register)
     for c in (61, 80002, 4 * 10**5 + 2):
