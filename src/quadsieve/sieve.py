@@ -28,6 +28,7 @@ re-files, checks and builds each record inline.
 
 from __future__ import annotations
 
+import operator
 import time
 from bisect import bisect_right
 from collections.abc import Callable, Collection, Iterable, Iterator
@@ -49,8 +50,9 @@ class RegisteredPrime(NamedTuple):
     """What register_prime opened for one odd prime, returned to the
     caller and kept by no one: next_hits holds the first index past the
     discovery of each slot opened, see _next_hits.  The pass ignores
-    it; the table's unit tests and the benchmark's sieve.register_prime
-    hook read it, which is why it stays."""
+    it; test_pop_due_follows_the_slots_register_prime_opens and the
+    benchmark's sieve.register_prime hook read it, which is why it
+    stays."""
 
     next_hits: list[int]
 
@@ -220,11 +222,17 @@ def _check_d_closed_form(params: EcParams, j_max: int, d_set: list[int]) -> None
 
 
 def validate_run(params: EcParams, j_max: int, marks: Collection[int] = ()) -> None:
-    """Raise ValueError unless 0 <= every mark <= j_max, and OverflowError
+    """Raise ValueError unless every mark is an integer, one that
+    operator.index accepts, with 0 <= mark <= j_max, and OverflowError
     if an element up to j_max leaves the 63-bit range."""
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     element_at(params, j_max)
+    for mark in marks:
+        try:
+            operator.index(mark)
+        except TypeError:
+            raise ValueError(f"checkpoints must be integers, got {mark!r}") from None
     if marks and (min(marks) < 0 or max(marks) > j_max):
         raise ValueError(f"checkpoints must lie in [0, {j_max}]")
 
@@ -374,7 +382,7 @@ def run_sieve(
     verify is handed to the pass.  After the pass D is checked against
     its closed form, see _check_d_closed_form.
     """
-    marks = {j_max} if checkpoint_js is None else {int(j) for j in checkpoint_js}
+    marks = {j_max} if checkpoint_js is None else set(checkpoint_js)
     validate_run(params, j_max, marks)
     stream = factorizations(params, j_max, verify=verify)
     p_set: list[int] = []

@@ -90,12 +90,6 @@ def test_index_rejects_wrong_parity():
         index_of(make_params(1), -2)
 
 
-def test_isqrt_examples():
-    assert math.isqrt(16) == 4
-    assert math.isqrt(961) == 31
-    assert math.isqrt(2**62 - 1) == 2147483647
-
-
 def test_isqrt_of_elements_past_threshold():
     # past the head range the abscissa is recoverable from the value
     for c in (1, 3, 4, 61, 100):

@@ -2,7 +2,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from quadsieve import (
@@ -36,20 +35,6 @@ def test_first_occurrence_rejects_even_modulus():
         first_occurrence(make_params(1), 4)
     with pytest.raises(ValueError):
         first_occurrence(make_params(1), 0)
-
-
-def test_first_occurrence_is_minimal():
-    for c in (1, 2, 3, 7, 25):
-        p = make_params(c)
-        for a in range(1, 60, 2):
-            hit = first_occurrence(p, a)
-            brute = brute_hit_indices(c, a, a)
-            if hit is None:
-                assert not brute
-            else:
-                assert hit.j0 == min(brute)
-                assert hit.x0 == 2 * hit.j0 + p.r
-                assert hit.modulus_a * hit.cofactor_b == hit.x0**2 + c
 
 
 def test_sequence_exists_examples():
@@ -259,24 +244,19 @@ def test_lift_solutions_solve_the_papers_congruences():
 SQUARE_HEAVY_C = (2 * 3**6, 5**4, 3**4 * 7**2, 2 * 3**2 * 5**2, 7**4 * 2)
 
 
-def scan_first_abscissa(c, a):
-    """Smallest x of the family parity in [0, a] with a | x^2 + c, by scan."""
-    r = 1 - c % 2
-    xs = np.arange(r, a + 1, 2, dtype=np.int64)
-    idx = np.flatnonzero((xs * xs + c) % a == 0)
-    return int(xs[idx[0]]) if idx.size else None
-
-
 def test_first_occurrence_matches_scan_exhaustively():
+    # the scan covers every X = 2j + r in [0, a], which holds a root of
+    # X^2 == -c (mod a) of the family parity whenever there is one
     for c in (*range(1, 121), *SQUARE_HEAVY_C):
         params = make_params(c)
         for a in range(1, 400, 2):
             hit = first_occurrence(params, a)
-            x0 = scan_first_abscissa(c, a)
-            assert (None if hit is None else hit.x0) == x0, (c, a)
+            hits = brute_hit_indices(c, a, (a - params.r) // 2)
+            assert (hit is None) == (not hits), (c, a)
             if hit is not None:
-                assert hit.j0 == (x0 - params.r) // 2
-                assert hit.modulus_a * hit.cofactor_b == x0 * x0 + c
+                assert hit.j0 == min(hits), (c, a)
+                assert hit.x0 == 2 * hit.j0 + params.r
+                assert hit.modulus_a * hit.cofactor_b == hit.x0**2 + c
 
 
 def test_first_occurrence_matches_sympy_roots():

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from math import isqrt
 
+import numpy as np
 import pytest
 
 import quadsieve
@@ -58,6 +59,127 @@ def test_unit_element_joins_neither_set():
     assert records[0].factors == ()
 
 
+def _inject(monkeypatch, name, edit):
+    # sieve.<name>(*args) returns edit(args, what it returned)
+    real = getattr(sieve, name)
+    monkeypatch.setattr(sieve, name, lambda *args: edit(args, real(*args)))
+
+
+def _calendar(change):
+    # a _seed edit: the pass pops the primes due at index j from the
+    # calendar _seed returns, and change(j, primes) edits what it pops there
+    class Calendar(dict):
+        def pop(self, j, *default):
+            return change(j, list(super().pop(j, *default)))
+
+    return lambda args, due: Calendar(due)
+
+
+def _drop(j, p):
+    # a _seed edit: the calendar loses prime p at index j
+    return _calendar(lambda i, primes: [q for q in primes if (i, q) != (j, p)])
+
+
+def _add_3(j):
+    # a _seed edit: 3 is due at index j, which lies past the head
+    def edit(args, due):
+        assert j > args[0].j_threshold
+        return _calendar(lambda i, primes: primes + [3] if i == j else primes)(args, due)
+
+    return edit
+
+
+def _lose_hits(p, *lost):
+    # a _next_hits edit: prime p, at its first sighting, loses the hits in lost
+    return lambda args, hits: [k for k in hits if args[0] != p or k not in lost]
+
+
+def _classes_of_5(change):
+    # an _index_classes edit: change(classes) edits the index classes of 5
+    return lambda args, found: (found[0], change(found[1])) if args[1] == 5 else found
+
+
+# each row: (seam, edit, c, J, verify, the SieveError text, or None for a
+# run whose P and D still equal brute_sets)
+GUARD_FAULTS = {
+    # at c = 1, 5 first seen at N_1 with no next hits leaves
+    # N_4 = 65 = 5 * 13 whole, and P would count it: the base-2 Fermat
+    # test stops a plain run there
+    "5-loses-its-hits": ("_next_hits", _lose_hits(5, 4, 6), 1, 19, False,
+        "index 4: cofactor 65 of 65 fails the base-2 Fermat test; due: none"),
+    # at c = 61, dropping 5 at index 16 alone leaves it as the whole
+    # cofactor of N_16 = 1085 = 5 * 7 * 31, below the bound
+    # max(isqrt(N_15), X - 1) = 31, with 7 and 31 due there
+    "calendar-drops-5-at-16": ("_seed", _drop(16, 5), 61, 20, False,
+        "index 16: cofactor 5 of 1085 is at most 31, so a due prime was missed; due: 7, 31"),
+    # at c = 34, J_c = 8 and limit = isqrt(N_8) = 17; 19, first seen as
+    # the cofactor of N_8 = 17 * 19, is due at its dual index 10, where
+    # N_10 = 475 = 5^2 * 19 and 19 = X - 2 sits just under the bound
+    # X - 1 = 20 past the head
+    "calendar-drops-19-at-10": ("_seed", _drop(10, 19), 34, 20, False,
+        "index 10: cofactor 19 of 475 is at most 20, so a due prime was missed; due: 5"),
+    # at c = 1, N_15 = 30^2 + 1 = 901 = 17 * 53, and 15 is the dual
+    # index of 17, first seen at N_2; without it the cofactor 901 passes
+    # the bound X - 1 = 29, and P would count it, so the primality test
+    # stops a verified run and the base-2 Fermat test a plain one at once
+    "17-loses-15-verify": ("_next_hits", _lose_hits(17, 15), 1, 20, True,
+        "index 15: cofactor 901 of 901 is not prime; due: none"),
+    **{f"17-loses-15-plain-{j_max}": ("_next_hits", _lose_hits(17, 15), 1, j_max, False,
+        "index 15: cofactor 901 of 901 fails the base-2 Fermat test; due: none")
+       for j_max in (20, 100)},
+    # at c = 81, N_24 = 48^2 + 81 = 2385 = 3^2 * 5 * 53: without the
+    # calendar's 3 the cofactor 477 is not the whole element, so a plain
+    # run files it as a prime and hides 53, with P and D still right,
+    # until 53 is left as the cofactor of N_29 = 5 * 13 * 53, below
+    # X - 1 = 57
+    "calendar-drops-3-at-24-verify": ("_seed", _drop(24, 3), 81, 28, True,
+        "index 24: cofactor 477 of 2385 is not prime; due: 5"),
+    "calendar-drops-3-at-24-plain-28": ("_seed", _drop(24, 3), 81, 28, False, None),
+    "calendar-drops-3-at-24-plain-29": ("_seed", _drop(24, 3), 81, 29, False,
+        "index 29: cofactor 53 of 3445 is at most 57, so a due prime was missed; due: 5, 13"),
+    # for c = 61 the multiples of 5 sit at j == 1, 4 (mod 5); moving the
+    # second class to 0 marks 5 at N_0 = 61
+    "class-of-5-moved-to-0": ("_index_classes", _classes_of_5(lambda cls: (cls[0], 0)),
+        61, 15, False, "index 0: prime 5 was due but does not divide 61; due: 5"),
+    # dropping the class j == 4 (mod 5) leaves N_4 = 125 whole, which
+    # the base-2 Fermat test catches without verify and the primality
+    # test with it
+    "first-class-of-5-only-plain": ("_index_classes", _classes_of_5(lambda cls: cls[:1]),
+        61, 15, False, "index 4: cofactor 125 of 125 fails the base-2 Fermat test; due: none"),
+    "first-class-of-5-only-verify": ("_index_classes", _classes_of_5(lambda cls: cls[:1]),
+        61, 15, True, "index 4: cofactor 125 of 125 is not prime; due: none"),
+    # dropping the class j == 1 (mod 5) instead leaves 5 alone of
+    # N_1 = 65 = 5 * 13, below the square root bound isqrt(N_15) = 31
+    "second-class-of-5-only": ("_index_classes", _classes_of_5(lambda cls: cls[1:]), 61, 15,
+        False, "index 1: cofactor 5 of 65 is at most 31, so a due prime was missed; due: 13"),
+    # J_c = 0: 5, first seen at N_1, divides N_4 = 65 = 5 * 13, the
+    # added 3 does not divide the 13 left, and the due primes are sorted
+    "calendar-adds-3-at-4": ("_seed", _add_3(4), 1, 14, False,
+        "index 4: prime 3 was due but does not divide 65; due: 3, 5"),
+    # J_c = 15: the added 3 comes before the calendar's 11 that
+    # divides N_20 = 1661 = 11 * 151, and both are named
+    "calendar-adds-3-at-20": ("_seed", _add_3(20), 61, 30, False,
+        "index 20: prime 3 was due but does not divide 1661; due: 3, 11"),
+    # every run checks D against its closed form: a prime table without 13
+    # leaves the c = 1 head (N_0 = 1) as it is but makes the 13 in D extra
+    "atkin-primes-lose-13": ("atkin_primes", lambda args, ps: [p for p in ps if p != 13],
+        1, 20, False, "prime 13 is extra in D up to 20 for c = 1"),
+}
+
+
+@pytest.mark.parametrize("fault", GUARD_FAULTS.values(), ids=list(GUARD_FAULTS))
+def test_each_guard_stops_its_injected_fault(monkeypatch, fault):
+    name, edit, c, j_max, verify, message = fault
+    _inject(monkeypatch, name, edit)
+    if message is None:
+        out = run_sieve(make_params(c), j_max, verify=verify)
+        assert (out.p_set, out.d_set) == brute_sets(make_params(c), j_max)
+        return
+    with pytest.raises(SieveError) as err:
+        run_sieve(make_params(c), j_max, verify=verify)
+    assert str(err.value) == message
+
+
 def test_next_hits_are_the_first_index_past_j_in_each_class():
     for c in (1, 4, 61, 80002):
         params = make_params(c)
@@ -96,26 +218,6 @@ def test_seed_files_each_prime_at_the_first_index_of_its_classes():
         assert sieve._seed(params, limit, j_max) == expected, c
 
 
-def _with_calendar(monkeypatch, change):
-    # the pass pops the primes due at index j from the calendar _seed
-    # returns; change(j, primes) edits what it pops there
-    seed = sieve._seed
-
-    class Calendar(dict):
-        def pop(self, j, *default):
-            return change(j, list(super().pop(j, *default)))
-
-    monkeypatch.setattr(sieve, "_seed", lambda *args: Calendar(seed(*args)))
-
-
-def _with_next_hits(monkeypatch, change):
-    # change(p, j, hits) edits the next hits of a prime p first seen at j
-    next_hits = sieve._next_hits
-    monkeypatch.setattr(
-        sieve, "_next_hits", lambda p, j, r: change(p, j, next_hits(p, j, r))
-    )
-
-
 def test_every_registration_is_a_first_sighting(monkeypatch):
     # the pass keeps no set of the primes it has seen: each prime first
     # seen at index j is at least X = 2j + r, so it divides no earlier
@@ -123,15 +225,9 @@ def test_every_registration_is_a_first_sighting(monkeypatch):
     # next hit other than j + p is the index of U_1 in the pair with
     # U_0 = X and Z_1 = p, the paper's step U_1 = 2 Z_1 - U_0
     seeded, sighted = set(), []
-    seed = sieve._seed
-
-    def spy_seed(params, limit, j_max):
-        due = seed(params, limit, j_max)
-        seeded.update(p for primes in due.values() for p in primes)
-        return due
-
-    monkeypatch.setattr(sieve, "_seed", spy_seed)
-    _with_next_hits(monkeypatch, lambda p, j, hits: sighted.append((p, j, hits)) or hits)
+    _inject(monkeypatch, "_seed", lambda args, due: seeded.update(*due.values()) or due)
+    _inject(monkeypatch, "_next_hits",
+            lambda args, hits: sighted.append((*args[:2], hits)) or hits)
     cases = [(c, make_params(c).j_threshold + 40) for c in range(1, 200)]
     cases += [(c, 3000) for c in (1, 4, 61)]
     sightings = 0
@@ -349,6 +445,11 @@ def test_run_argument_errors():
         run_sieve(p1, 10, [11])
     with pytest.raises(ValueError):
         run_sieve(p1, 10, [-1])
+    for mark in (5.7, "5"):
+        with pytest.raises(ValueError) as err:
+            run_sieve(p1, 10, [mark])
+        assert str(err.value) == f"checkpoints must be integers, got {mark!r}"
+    assert run_sieve(p1, 10, [np.int64(5)]).checkpoints[0].j == 5
     with pytest.raises(OverflowError, match="4294967296"):
         run_sieve(p1, 2**32)
 
@@ -361,13 +462,7 @@ def test_stream_checks_arguments_when_called(monkeypatch):
     with pytest.raises(OverflowError, match="4294967296"):
         factorizations(p1, 2**32)
     # so does the up-front pair cross-check of a verified run
-    real = sieve._exact_terms
-
-    def shifted(pair, n):
-        u, z = real(pair, n)
-        return u + (n == 2), z
-
-    monkeypatch.setattr(sieve, "_exact_terms", shifted)
+    _inject(monkeypatch, "_exact_terms", lambda args, uz: (uz[0] + (args[1] == 2), uz[1]))
     with pytest.raises(SieveError, match="sequence pair identity fails at term 2 for c = 15"):
         factorizations(make_params(15), 10, verify=True)
 
@@ -378,69 +473,6 @@ def test_on_record_sees_the_stream():
     out = run_sieve(params, 300, on_record=seen.append)
     assert seen == list(factorizations(params, 300))
     assert out.p_set == [rec.n for rec in seen if rec.factors == ((rec.n, 1),)]
-
-
-def test_missed_progression_fails_a_plain_run(monkeypatch):
-    # at c = 1, 5 first seen at N_1 with no next hits leaves
-    # N_4 = 65 = 5 * 13 whole, and P would count it: the base-2 Fermat
-    # test stops a plain run there
-    _with_next_hits(monkeypatch, lambda p, j, hits: [] if p == 5 else hits)
-    with pytest.raises(SieveError, match="index 4: cofactor 65 of 65 fails the base-2 Fermat"):
-        run_sieve(make_params(1), 19)
-    # at c = 61, dropping 5 at index 16 alone leaves it as the whole
-    # cofactor of N_16 = 1085 = 5 * 7 * 31, below the bound
-    # max(isqrt(N_15), X - 1) = 31, with 7 and 31 due there
-    monkeypatch.undo()
-    _with_calendar(monkeypatch, lambda j, primes: [p for p in primes if (j, p) != (16, 5)])
-    with pytest.raises(SieveError) as err:
-        run_sieve(make_params(61), 20)
-    assert str(err.value) == (
-        "index 16: cofactor 5 of 1085 is at most 31, so a due prime was missed; due: 7, 31"
-    )
-    # at c = 34, J_c = 8 and limit = isqrt(N_8) = 17; 19, first seen as
-    # the cofactor of N_8 = 17 * 19, is due at its dual index 10, where
-    # N_10 = 475 = 5^2 * 19 and 19 = X - 2 sits just under the bound
-    # X - 1 = 20 past the head
-    monkeypatch.undo()
-    _with_calendar(monkeypatch, lambda j, primes: [p for p in primes if (j, p) != (10, 19)])
-    with pytest.raises(SieveError) as err:
-        run_sieve(make_params(34), 20)
-    assert str(err.value) == (
-        "index 10: cofactor 19 of 475 is at most 20, so a due prime was missed; due: 5"
-    )
-
-
-def test_composite_cofactor_fails_verify_at_once_and_a_plain_run_later(monkeypatch):
-    # at c = 1, N_15 = 30^2 + 1 = 901 = 17 * 53, and 15 is the dual
-    # index of 17, first seen at N_2; without it the cofactor 901 passes
-    # the bound X - 1 = 29, and P would count it, so the base-2 Fermat
-    # test stops a plain run at once
-    _with_next_hits(monkeypatch, lambda p, j, hits: [k for k in hits if (p, k) != (17, 15)])
-    with pytest.raises(SieveError, match="index 15: cofactor 901 of 901 is not prime") as err:
-        run_sieve(make_params(1), 20, verify=True)
-    assert str(err.value).endswith("; due: none")
-    for j_max in (20, 100):
-        with pytest.raises(SieveError, match="index 15: cofactor 901 of 901 fails the base-2"):
-            run_sieve(make_params(1), j_max)
-    # at c = 81, N_24 = 48^2 + 81 = 2385 = 3^2 * 5 * 53: without the
-    # calendar's 3 the cofactor 477 is not the whole element, so a plain
-    # run files it as a prime and hides 53, with P and D still right,
-    # until 53 is left as the cofactor of N_29 = 5 * 13 * 53, below
-    # X - 1 = 57
-    monkeypatch.undo()
-    _with_calendar(monkeypatch, lambda j, primes: [p for p in primes if (j, p) != (24, 3)])
-    params = make_params(81)
-    with pytest.raises(SieveError) as err:
-        run_sieve(params, 28, verify=True)
-    assert str(err.value) == "index 24: cofactor 477 of 2385 is not prime; due: 5"
-    out = run_sieve(params, 28)
-    p_set, d_set = brute_sets(params, 28)
-    assert (out.p_set, out.d_set) == (p_set, d_set)
-    with pytest.raises(SieveError) as err:
-        run_sieve(params, 29)
-    assert str(err.value) == (
-        "index 29: cofactor 53 of 3445 is at most 57, so a due prime was missed; due: 5, 13"
-    )
 
 
 def test_verify_mode_matches_plain_run():
@@ -484,61 +516,6 @@ def test_head_sieve_matches_trial_division():
             assert rec.factors == expected, (c, rec.j)
 
 
-def _with_classes_of_five(monkeypatch, change):
-    classes = sieve._index_classes
-
-    def patched(params, p, k):
-        found = classes(params, p, k)
-        return change(found) if p == 5 else found
-
-    monkeypatch.setattr(sieve, "_index_classes", patched)
-
-
-def test_head_mark_that_misses_its_element_raises(monkeypatch):
-    # for c = 61 the multiples of 5 sit at j == 1, 4 (mod 5); moving the
-    # second class to 0 marks 5 at N_0 = 61
-    _with_classes_of_five(monkeypatch, lambda mc: (mc[0], (mc[1][0], 0)))
-    with pytest.raises(SieveError, match="index 0: prime 5 was due but does not divide 61"):
-        run_sieve(make_params(61), 15)
-
-
-@pytest.mark.parametrize(
-    "c, j, message",
-    [
-        # J_c = 0: 5, first seen at N_1, divides N_4 = 65 = 5 * 13, the
-        # added 3 does not divide the 13 left, and the due primes are sorted
-        (1, 4, "index 4: prime 3 was due but does not divide 65; due: 3, 5"),
-        # J_c = 15: the added 3 comes before the calendar's 11 that
-        # divides N_20 = 1661 = 11 * 151, and both are named
-        (61, 20, "index 20: prime 3 was due but does not divide 1661; due: 3, 11"),
-    ],
-)
-def test_due_prime_that_misses_its_element_past_the_head_raises(monkeypatch, c, j, message):
-    _with_calendar(monkeypatch, lambda i, primes: primes + [3] if i == j else primes)
-    assert j > make_params(c).j_threshold
-    with pytest.raises(SieveError) as err:
-        run_sieve(make_params(c), j + 10)
-    assert str(err.value) == message
-
-
-def test_head_missed_root_class_raises(monkeypatch):
-    # dropping the class j == 4 (mod 5) leaves N_4 = 125 whole, which
-    # the primality test catches with verify on and the base-2 Fermat
-    # test without
-    _with_classes_of_five(monkeypatch, lambda mc: (mc[0], mc[1][:1]))
-    with pytest.raises(SieveError, match="index 4: cofactor 125 of 125 fails the base-2"):
-        run_sieve(make_params(61), 15)
-    with pytest.raises(SieveError, match="index 4: cofactor 125 of 125 is not prime"):
-        run_sieve(make_params(61), 15, verify=True)
-    # dropping the class j == 1 (mod 5) instead leaves 5 alone of
-    # N_1 = 65 = 5 * 13, below the square root bound isqrt(N_15) = 31
-    monkeypatch.undo()
-    _with_classes_of_five(monkeypatch, lambda mc: (mc[0], mc[1][1:]))
-    with pytest.raises(SieveError, match="index 1: cofactor 5 of 65 is at most 31") as err:
-        run_sieve(make_params(61), 15)
-    assert str(err.value).endswith("; due: 13")
-
-
 def test_d_set_matches_closed_form():
     # D holds the odd primes p <= J with (-c)^((p-1)/2) != -1 (mod p)
     odd_primes = eratosthenes(3000)[1:]
@@ -547,19 +524,13 @@ def test_d_set_matches_closed_form():
         assert run_sieve(make_params(c), 3000).d_set == expected, c
 
 
-def test_d_closed_form_check_names_the_first_wrong_prime(monkeypatch):
+def test_d_closed_form_check_names_the_first_wrong_prime():
     params = make_params(1)
     sieve._check_d_closed_form(params, 20, [5, 13, 17])
     with pytest.raises(SieveError, match="prime 13 is missing from D up to 20 for c = 1"):
         sieve._check_d_closed_form(params, 20, [5, 17])
     with pytest.raises(SieveError, match="prime 3 is extra in D up to 20 for c = 1"):
         sieve._check_d_closed_form(params, 20, [3, 5, 13, 17])
-    # every run makes the check: a prime table without 13 leaves the
-    # c = 1 head (N_0 = 1) as it is but makes the 13 in D extra
-    primes = sieve.atkin_primes
-    monkeypatch.setattr(sieve, "atkin_primes", lambda n: [p for p in primes(n) if p != 13])
-    with pytest.raises(SieveError, match="prime 13 is extra in D up to 20"):
-        run_sieve(params, 20)
 
 
 def test_hand_off_to_the_progression_phase_matches_trial_division(monkeypatch):
@@ -569,13 +540,7 @@ def test_hand_off_to_the_progression_phase_matches_trial_division(monkeypatch):
     # to J and no key past it, so the run leaves the dict _seed built
     # empty.
     calendars = []
-    seed = sieve._seed
-
-    def spy_seed(params, limit, j_max):
-        calendars.append(seed(params, limit, j_max))
-        return calendars[-1]
-
-    monkeypatch.setattr(sieve, "_seed", spy_seed)
+    _inject(monkeypatch, "_seed", lambda args, due: calendars.append(due) or due)
     for c in (61, 80002, 4 * 10**5 + 2, 3**12):
         params = make_params(c)
         j_c = params.j_threshold
@@ -624,7 +589,7 @@ def test_run_inside_the_head_builds_no_schedule(monkeypatch):
     # a run that ends inside the head files no new prime: each cofactor
     # there is above limit >= X, so its dual index lies past J
     sighted = []
-    _with_next_hits(monkeypatch, lambda p, j, hits: sighted.append(p) or hits)
+    _inject(monkeypatch, "_next_hits", lambda args, hits: sighted.append(args[0]) or hits)
     out = run_sieve(make_params(80002), 20000)
     assert (len(out.p_set), len(out.d_set)) == (2818, 1158)
     assert sighted == []
