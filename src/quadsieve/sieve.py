@@ -28,7 +28,6 @@ re-files, checks and builds each record inline.
 
 from __future__ import annotations
 
-import operator
 import time
 from bisect import bisect_right
 from collections.abc import Callable, Collection, Iterable, Iterator
@@ -222,17 +221,16 @@ def _check_d_closed_form(params: EcParams, j_max: int, d_set: list[int]) -> None
 
 
 def validate_run(params: EcParams, j_max: int, marks: Collection[int] = ()) -> None:
-    """Raise ValueError unless every mark is an integer, one that
-    operator.index accepts, with 0 <= mark <= j_max, and OverflowError
-    if an element up to j_max leaves the 63-bit range."""
+    """Raise ValueError unless every mark is an integer, one whose type
+    has __index__ and is not bool, with 0 <= mark <= j_max, and
+    OverflowError if an element up to j_max leaves the 63-bit range."""
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     element_at(params, j_max)
     for mark in marks:
-        try:
-            operator.index(mark)
-        except TypeError:
-            raise ValueError(f"checkpoints must be integers, got {mark!r}") from None
+        # a bool has __index__ too, but True names no index
+        if isinstance(mark, bool) or not hasattr(type(mark), "__index__"):
+            raise ValueError(f"checkpoints must be integers, got {mark!r}")
     if marks and (min(marks) < 0 or max(marks) > j_max):
         raise ValueError(f"checkpoints must lie in [0, {j_max}]")
 

@@ -143,10 +143,9 @@ def appendix_pair(params: EcParams, j: int, k: int, variant: str = "a") -> UZPai
     """
     if j < 0 or k < 0:
         raise ValueError(f"j and k must be >= 0, got j = {j}, k = {k}")
-    v = variant.lower()
-    if v not in ("a", "b"):
+    if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
     r = params.r
     n_val = (2 * j + r) ** 2 + params.c
-    w = n_val - j - r + k * n_val if v == "a" else j + (k + 1) * n_val
+    w = n_val - j - r + k * n_val if variant == "a" else j + (k + 1) * n_val
     return _pair(params.c, 2 * w + r, n_val)

@@ -67,13 +67,6 @@ def test_trial_factor_examples():
     assert trial_factor(97) == [(97, 1)]
 
 
-def test_trial_factor_rejects_non_positive():
-    with pytest.raises(ValueError):
-        trial_factor(0)
-    with pytest.raises(ValueError):
-        trial_factor(-6)
-
-
 def test_trial_factor_round_trip():
     for n in (*range(1, 2000), *TABLE_EDGE_CASES, *seeded_grid(200)):
         prod = 1
